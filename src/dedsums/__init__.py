@@ -1,9 +1,10 @@
 """Exact Dedekind-Rademacher sums and mechanical reciprocity verification.
 
 The library evaluates every classical and generalized Dedekind-type sum
-family by literal direct summation over exact rationals, verifies each
-reciprocity law by computing both sides independently and asserting a zero
-residual, and double-checks the convergent-series facts behind the theory
+family exactly from its defining sum over rationals (term by term, or for
+large moduli in closed form over the stretches where the summand is one
+polynomial), verifies each reciprocity law by computing both sides
+independently and asserting a zero residual, and double-checks the convergent-series facts behind the theory
 with tolerance-bounded floating-point truncations.
 """
 

@@ -1,8 +1,9 @@
 """Exact two-sided evaluation of the reciprocity laws.
 
 Every checker computes the left- and right-hand side of one identity by
-structurally independent routes -- the direct-summation families from
-:mod:`dedsums.sums` on one side, closed-form Bernoulli/gcd/lattice-counter
+structurally independent routes -- the lattice-sum families from
+:mod:`dedsums.sums` on one side (by either of that module's routes, both of
+which regroup the defining sum), closed-form Bernoulli/gcd/lattice-counter
 expressions on the other -- and returns both values together with the exact
 residual ``lhs - rhs``.  A checker never "fixes" its inputs: parameters that
 violate the identity's hypotheses raise :class:`HypothesisError` naming the
@@ -38,7 +39,6 @@ from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 from .bernoulli import (
-    _bbar_pair,
     bernoulli_function,
     bernoulli_number,
     carlitz_kernel,
@@ -46,6 +46,8 @@ from .bernoulli import (
 )
 from .exact import binomial, format_rational, gcd_pos, is_integer, mod_inverse, sgn
 from .sums import (
+    _form,
+    _lattice_sum,
     apostol_s,
     berndt_s,
     carlitz_s,
@@ -323,16 +325,7 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
 def _inner_pair_sum(j: int, k: int, top: int, mod: int, sub: Fraction,
                     shift: Fraction, x: Fraction) -> Fraction:
     # sum over l = 1..|mod| of B'_j(top(l+shift)/mod - sub) B'_k(x + (l+shift)/mod)
-    bn, bd = sub.numerator, sub.denominator
-    sn, sd = shift.numerator, shift.denominator
-    xn, xd = x.numerator, x.denominator
-    ud = sd * mod
-    total = Fraction(0)
-    for l in range(1, abs(mod) + 1):
-        un = l * sd + sn
-        total += _bbar_pair(j, top * un * bd - bn * ud, ud * bd) \
-            * _bbar_pair(k, xn * ud + un * xd, xd * ud)
-    return total
+    return _lattice_sum(j, _form(top, mod, shift, sub, -1), k, _form(1, mod, shift, x), abs(mod))
 
 
 def check_thm31(m: int, n: int, a: int, b: int,
@@ -819,5 +812,6 @@ def random_case(identity: str, rng) -> dict[str, object]:
 
 
 def clear_caches() -> None:
-    """Drop memoized inner sums (used to bound memory in long sweeps)."""
+    """Drop memoized inner sums and powers (used to bound memory in long sweeps)."""
     _inner_pair_sum.cache_clear()
+    _ipow.cache_clear()

@@ -10,7 +10,7 @@ two routes is the evidence the tests are after.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 def worpitzky_poly(n: int, x: Fraction) -> Fraction:
@@ -49,11 +49,34 @@ def carlitz_oracle(n: int, x: Fraction) -> Fraction:
 
 
 def hwz_oracle(m: int, n: int, a: int, b: int, c: int,
-               x: Fraction, y: Fraction, z: Fraction) -> Fraction:
+               x: Fraction, y: Fraction, z: Fraction, kernel=bbar_oracle) -> Fraction:
     total = Fraction(0)
     for r in range(1, abs(c) + 1):
         u = (r + Fraction(z)) / c
-        total += bbar_oracle(m, a * u - Fraction(x)) * bbar_oracle(n, b * u - Fraction(y))
+        total += kernel(m, a * u - Fraction(x)) * kernel(n, b * u - Fraction(y))
+    return total
+
+
+def raw_hwz_oracle(m: int, n: int, a: int, b: int, c: int,
+                   x: Fraction, y: Fraction, z: Fraction) -> Fraction:
+    """The literal loop of :func:`hwz_oracle` on the raw kernel B_n({.})."""
+    return hwz_oracle(m, n, a, b, c, x, y, z, kernel=carlitz_oracle)
+
+
+def dedekind_descent(a: int, b: int) -> Fraction:
+    """Classical s(a, b), b >= 1, by the two-term law in O(log b) steps.
+
+    Uses s(ka, kb) = s(a, b), s(a mod b, b) = s(a, b), s(0, b) = 0 and, for
+    coprime a, b >= 1, s(a, b) = -s(b, a) - 1/4 + (a/b + b/a + 1/(ab))/12.
+    """
+    g = gcd(a, b)
+    a, b = (a // g) % (b // g), b // g
+    total, sign = Fraction(0), 1
+    while a:
+        total += sign * (Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a)
+                                            + Fraction(1, a * b)) / 12)
+        sign = -sign
+        a, b = b % a, a
     return total
 
 

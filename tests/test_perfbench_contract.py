@@ -1,0 +1,78 @@
+"""The benchmark's reach into the package, run in-process.
+
+``perfbench/run.py`` loads ``dedsums`` itself, clears its memos between
+passes and reads their ``cache_info``; ``perfbench/tracing.py`` wraps the
+sum families, the checkers and the CLI entry points by module attribute.
+A renamed or removed name would make a benchmark run end in a traceback
+instead of its result line, so these tests run the same code here.
+"""
+
+import importlib.util
+import os
+from fractions import Fraction
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    run, tracing = _load("run"), _load("tracing")
+    # run.py imports tracing into its namespace when started as a script.
+    run.tracing = tracing
+    return run, tracing, run.load()
+
+
+THM41 = {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
+         "x": Fraction(1, 3), "y": Fraction(1, 2), "z": Fraction(-2, 7)}
+
+
+def test_clear_caches_empties_the_memos(bench):
+    run, _, dd = bench
+    dd.reciprocity.run_case("thm41", THM41)
+    run.clear_caches(dd)
+    probes = run.cache_probes(dd)
+    assert probes["memo"]().currsize == 0
+    assert probes["inner"]().currsize == 0
+    assert all(info().currsize == 0 for info in probes["families"])
+
+
+def test_cache_probes_find_every_memo(bench):
+    run, tracing, dd = bench
+    probes = run.cache_probes(dd)
+    assert probes["memo"] is not None
+    assert probes["inner"] is not None
+    assert len(probes["families"]) == len(tracing.FAMILIES)
+
+
+def test_tracer_wraps_and_restores_the_package(bench):
+    run, tracing, dd = bench
+    modules = (dd.sums, dd.reciprocity, dd.cli, dd.analytic)
+    before = [dict(vars(m)) for m in modules]
+    specs = dict(dd.reciprocity.IDENTITIES)
+    tracer = tracing.Tracer()
+    tracer.install(dd)
+    try:
+        run.clear_caches(dd)
+        report = dd.reciprocity.run_case("thm41", THM41)
+        assert report.passed
+        assert dd.sums.classical_s(3, 7) == Fraction(-1, 14)
+    finally:
+        tracer.uninstall()
+        run.clear_caches(dd)
+    names = {span[0] for span in tracer.spans}
+    assert {"reciprocity.run_case", "reciprocity.thm41", "sums.hwz_s",
+            "sums.count_ladder", "sums.classical_s"} <= names
+    for module, attrs in zip(modules, before):
+        assert all(vars(module)[name] is value for name, value in attrs.items())
+    assert dd.reciprocity.IDENTITIES == specs

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from dedsums import bernoulli as bern_mod
+from dedsums import reciprocity as rec_mod
+from dedsums import sums as sums_mod
 from dedsums.reciprocity import (
     IDENTITIES,
     HypothesisError,
@@ -441,3 +444,16 @@ class TestGateExactness:
         assert run_case("cor42", {"n": 3, "a": 4, "b": 6,
                                   "x": F(1, 3), "y": F(1, 5)}).passed
         assert run_case("cor45", {"m": 1, "n": 2, "a": 2, "b": 4, "c": 6}).passed
+
+
+class TestClearCaches:
+    def test_three_clear_functions_empty_every_memo(self):
+        run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
+                           "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
+        assert rec_mod._ipow.cache_info().currsize > 0
+        assert bern_mod._poly_at_pair.cache_info().currsize > 0
+        sums_mod.clear_caches()
+        rec_mod.clear_caches()
+        bern_mod.clear_eval_cache()
+        assert rec_mod._ipow.cache_info().currsize == 0
+        assert bern_mod._poly_at_pair.cache_info().currsize == 0

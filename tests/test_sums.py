@@ -1,12 +1,24 @@
-"""Sum families against literal-summation oracles and structural properties."""
+"""Sum families against literal-summation oracles and structural properties.
 
+Both routes of the lattice-sum core are forced in turn and compared with the
+literal loops of ``tests/oracles.py``.
+"""
+
+import contextlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from dedsums import bernoulli as bern_mod
+from dedsums import reciprocity as rec_mod
+from dedsums import sums as sums_mod
 from dedsums.exact import gcd_pos
+from dedsums.reciprocity import run_case
 from dedsums.sums import (
     SumRequest,
     apostol_s,
@@ -257,6 +269,10 @@ class TestFamilyCoherence:
             assert carlitz_s(n, a, c, x, y) == carlitz_s(n, a, c, x + 1, y + 1)
 
 
+_LADDER_SHIFTS = st.one_of(st.integers(-4, 4).map(Fraction),
+                           st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+
+
 class TestLadderCounter:
     def test_examples(self):
         assert count_ladder(1, 1, 1, ZERO, ZERO, ZERO) == 1
@@ -287,6 +303,13 @@ class TestLadderCounter:
             x, y, z = (rand_rational(rng) for _ in range(3))
             assert count_ladder(a, b, c, x, y, z) == \
                 oracles.ladder_count_oracle(a, b, c, x, y, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(-30, 30).filter(bool), b=st.integers(-30, 30).filter(bool),
+           c=st.integers(-30, 30).filter(bool), x=_LADDER_SHIFTS, y=_LADDER_SHIFTS,
+           z=_LADDER_SHIFTS)
+    def test_congruence_count_matches_enumeration(self, a, b, c, x, y, z):
+        assert count_ladder(a, b, c, x, y, z) == oracles.ladder_count_oracle(a, b, c, x, y, z)
 
     def test_unshifted_is_gcd(self):
         for a in range(1, 13):
@@ -327,3 +350,128 @@ class TestSumRequest:
             SumRequest("nope", moduli=(1, 2)).validate()
         with pytest.raises(ValueError):
             SumRequest.from_json_dict({"family": "nope"})
+
+
+# ---------------------------------------------------------------------------
+# The two routes of the lattice-sum core
+# ---------------------------------------------------------------------------
+
+def _clear_all():
+    sums_mod.clear_caches()
+    rec_mod.clear_caches()
+    bern_mod.clear_eval_cache()
+
+
+@contextlib.contextmanager
+def forced_route(piecewise: bool):
+    """Send every lattice sum down one route, from cleared caches."""
+    saved = sums_mod._PIECEWISE_MIN_TERMS, sums_mod._piecewise_pays
+    sums_mod._PIECEWISE_MIN_TERMS = 0 if piecewise else saved[0]
+    sums_mod._piecewise_pays = lambda m, n, stretches, count: piecewise
+    _clear_all()
+    try:
+        yield
+    finally:
+        sums_mod._PIECEWISE_MIN_TERMS, sums_mod._piecewise_pays = saved
+        _clear_all()
+
+
+def _family_and_oracle(family, m, n, a, b, c, x, y, z):
+    """(the family evaluated at one drawn tuple, the literal loop's value).
+
+    ``c`` is the summed modulus of every family; the oracle is the hwz loop
+    of ``tests/oracles.py`` at the family's embedding into hwz_s.
+    """
+    hwz, raw = oracles.hwz_oracle, oracles.raw_hwz_oracle
+    calls = {
+        "classical_s": (lambda: classical_s(a, c), lambda: hwz(1, 1, 1, a, c, ZERO, ZERO, ZERO)),
+        "rademacher_s": (lambda: rademacher_s(a, c, x, y),
+                         lambda: hwz(1, 1, 1, a, c, ZERO, -x, y)),
+        "berndt_s": (lambda: berndt_s(a, b, c, x, y, z), lambda: hwz(1, 1, a, b, c, x, y, z)),
+        "apostol_s": (lambda: apostol_s(n + 1, a, c),
+                      lambda: hwz(1, n + 1, 1, a, c, ZERO, ZERO, ZERO)),
+        "carlitz_s": (lambda: carlitz_s(n, a, c, x, y), lambda: raw(1, n, 1, a, c, ZERO, -x, y)),
+        "hwz_s": (lambda: hwz_s(m, n, a, b, c, x, y, z), lambda: hwz(m, n, a, b, c, x, y, z)),
+        "s_mn_two": (lambda: s_mn_two(m, n, a, c, x, y), lambda: hwz(m, n, a, 1, c, -x, ZERO, y)),
+        "s_n_two": (lambda: s_n_two(n, a, c, x, y), lambda: hwz(1, n, 1, a, c, ZERO, -x, y)),
+        "s_mn_plain": (lambda: s_mn_plain(m, n, a, b, c),
+                       lambda: hwz(m, n, a, b, c, ZERO, ZERO, ZERO)),
+        "_inner_pair_sum": (lambda: rec_mod._inner_pair_sum(m, n, a, c, x, z, y),
+                            lambda: hwz(m, n, a, 1, c, x, -y, z)),
+    }
+    family_fn, oracle_fn = calls[family]
+    return family_fn, oracle_fn()
+
+
+_ROUTE_FAMILIES = ["classical_s", "rademacher_s", "berndt_s", "apostol_s", "carlitz_s",
+                   "hwz_s", "s_mn_two", "s_n_two", "s_mn_plain", "_inner_pair_sum"]
+_shifts = st.one_of(st.integers(-3, 3).map(Fraction),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+_summed = st.integers(-200, 200).filter(bool)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("family", _ROUTE_FAMILIES)
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(0, 6), n=st.integers(0, 6), a=st.integers(-12, 12),
+           b=st.integers(-12, 12), c=_summed, x=_shifts, y=_shifts, z=_shifts)
+    def test_both_routes_match_literal_loop(self, family, m, n, a, b, c, x, y, z):
+        family_fn, expect = _family_and_oracle(family, m, n, a, b, c, x, y, z)
+        for piecewise in (False, True):
+            with forced_route(piecewise):
+                assert family_fn() == expect, ("piecewise" if piecewise else "direct")
+
+    def test_grid_tuples_take_the_direct_route(self, monkeypatch):
+        """Criteria 7-10 sum over their tuples' moduli only, all on the direct loop.
+
+        A route depends on the orders, the stretch count and the summed
+        modulus, and every lattice sum of these checkers sums over one of the
+        tuple's moduli; so every modulus combination of each grid, at its
+        highest orders, and the seeded random tuples cover every route taken.
+        """
+        from test_acceptance import (
+            _PRODUCT_MODULI, _PRODUCT_SHIFTS, _THREE_MOD_MODULI, _THREE_MOD_SHIFTS)
+
+        def refuse(*args):
+            raise AssertionError(f"piecewise route taken: {args}")
+
+        monkeypatch.setattr(sums_mod, "_piecewise_sum", refuse)
+        _clear_all()
+        x, y, z = _PRODUCT_SHIFTS[1:]
+        for a in _PRODUCT_MODULI:
+            for b in _PRODUCT_MODULI:
+                run_case("thm31", {"m": 4, "n": 4, "a": a, "b": b, "x": x, "y": y, "z": z})
+                run_case("thm33", {"m": 4, "n": 4, "a": a, "b": b, "x": x, "y": y, "z": z})
+                run_case("cor32", {"m": 4, "n": 4, "a": a, "b": b, "x": x, "y": y})
+                run_case("cor34", {"m": 4, "n": 4, "a": a, "b": b, "x": x, "y": y})
+        x, y, z = _THREE_MOD_SHIFTS
+        for a in _THREE_MOD_MODULI:
+            for b in _THREE_MOD_MODULI:
+                for c in _THREE_MOD_MODULI:
+                    for ident in ("thm41", "thm44"):
+                        run_case(ident, {"m": 3, "n": 3, "a": a, "b": b, "c": c,
+                                         "x": x, "y": y, "z": z})
+        for ident, seed in (("thm31", 7001), ("thm33", 7008), ("thm41", 7002), ("thm44", 7003)):
+            rng = random.Random(seed)
+            for _ in range(300 if ident in ("thm41", "thm44") else 500):
+                run_case(ident, rec_mod.random_case(ident, rng))
+        _clear_all()
+
+    def test_large_modulus_classical_matches_descent(self):
+        b = 10**6 + 1
+        assert classical_s(7, b) == oracles.dedekind_descent(7, b)
+
+    def test_large_modulus_thm41_has_zero_residual(self):
+        rep = run_case("thm41", {"m": 2, "n": 3, "a": 5, "b": -6, "c": 10**5 + 3,
+                                 "x": F(1, 3), "y": F(-3, 8), "z": F(9, 7)})
+        assert rep.passed and rep.residual == 0
+
+    def test_large_sum_leaves_kernel_memo_small(self):
+        _clear_all()
+        t0 = time.perf_counter()
+        hwz_s(2, 3, 1, 2, 200003, F(1, 3), ZERO, F(1, 7))
+        elapsed = time.perf_counter() - t0
+        entries = bern_mod._poly_at_pair.cache_info().currsize
+        _clear_all()
+        assert entries < 1000
+        assert elapsed < 1.0
