@@ -26,10 +26,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
+from .params import Params
 
 __all__ = [
     "TruncationReport",
@@ -42,8 +43,6 @@ __all__ = [
     "lemma28_exact",
     "ANALYTIC_TARGETS",
 ]
-
-ANALYTIC_TARGETS = ("fourier", "lemma24", "lemma27", "zeta_even")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -290,6 +289,24 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
         abs_error=abs_error, tolerance=tolerance,
         passed=abs_error <= tolerance,
     )
+
+
+class AnalyticSpec(NamedTuple):
+    """Declared parameters of one truncation check, in its argument order."""
+
+    fn: Callable[..., TruncationReport]
+    params: Params
+    flags = ()
+
+
+# Command-line tag -> check; the report of "zeta-even" names its target "zeta_even".
+ANALYTIC_TARGETS = {
+    "fourier": AnalyticSpec(fourier_partial, {"n": int, "x": Fraction, "K": int}),
+    "lemma24": AnalyticSpec(lemma24_check, {"j": int, "b": int, "r": int, "K": int}),
+    "lemma27": AnalyticSpec(lemma27_check,
+                            {"j": int, "b": int, "r": int, "x": Fraction, "K": int}),
+    "zeta-even": AnalyticSpec(zeta_even_check, {"j": int, "K": int}),
+}
 
 
 def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,

@@ -114,10 +114,12 @@ def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple((n - i) * row[i] for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _poly_at_pair(n: int, tn: int, td: int) -> Fraction:
     # tn/td is a reduced fraction in [0, 1); int keys hash much faster than
-    # Fraction keys, and cache hits dominate in grid sweeps.
+    # Fraction keys, and cache hits dominate in grid sweeps.  The bound keeps
+    # a direct-route sum over a large modulus from growing the memo without
+    # limit, and sits far above what a grid sweep over small moduli fills.
     return bernoulli_poly(n, Fraction(tn, td))
 
 

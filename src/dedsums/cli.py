@@ -24,6 +24,7 @@ count defaults to the ``DEDSUMS_WORKERS`` environment variable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -33,16 +34,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analytic import fourier_partial, lemma24_check, lemma27_check, zeta_even_check
+from .analytic import ANALYTIC_TARGETS
 from .exact import format_rational, parse_rational
 from .reciprocity import (
     IDENTITIES,
     HypothesisError,
+    IdentityCase,
     IdentityReport,
     random_case,
     run_case,
 )
-from .sums import SUM_FAMILIES, SumRequest, _FAMILY_SPECS
+from .sums import SUM_FAMILIES, SumRequest
 
 __all__ = ["main", "SweepSpec"]
 
@@ -64,18 +66,15 @@ class SweepSpec:
     flags: tuple[str, ...] = ()
 
     def cases(self) -> list[dict]:
-        spec = IDENTITIES[self.identity]
+        names = list(IDENTITIES[self.identity].params)
         out: list[dict] = []
         if self.grids:
-            missing = [n for n in spec.param_order if n not in self.grids]
+            missing = [n for n in names if n not in self.grids]
             if missing:
                 raise ValueError(
                     f"sweep grid missing parameter(s): {', '.join(missing)}")
-            pending: list[dict] = [{}]
-            for name in spec.param_order:
-                pending = [{**prefix, name: v}
-                           for prefix in pending for v in self.grids[name]]
-            out.extend(pending)
+            out.extend(dict(zip(names, combo))
+                       for combo in itertools.product(*(self.grids[n] for n in names)))
         if self.random_count:
             rng = random.Random(self.seed)
             out.extend(random_case(self.identity, rng)
@@ -124,92 +123,61 @@ def _rational_list(text: str) -> list[Fraction]:
     return values
 
 
-def _default_workers() -> int:
+def _worker_count(option: int | None) -> int:
+    """``--workers``, else ``DEDSUMS_WORKERS``, else 1; it must be an integer >= 1."""
+    if option is not None:
+        source, text = "--workers", str(option)
+    else:
+        source, text = "DEDSUMS_WORKERS", os.environ.get("DEDSUMS_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("DEDSUMS_WORKERS", "1")))
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {text!r}")
+    return count
+
+
+# subcommand -> help, registry key name, registry, output formats (default first)
+_COMMANDS = {
+    "sum": ("evaluate one sum exactly", "family", SUM_FAMILIES, ("plain", "json")),
+    "verify": ("verify one identity instance", "identity", IDENTITIES, ("json", "csv", "plain")),
+    "sweep": ("verify an identity over a grid", "identity", IDENTITIES, ("json", "csv", "plain")),
+    "analytic": ("run one truncation check", "target", ANALYTIC_TARGETS, ("json", "csv", "plain")),
+}
+# parameter kind -> argparse type of one value, and of a sweep's value list
+_VALUE_TYPE = {int: int, Fraction: parse_rational}
+_GRID_TYPE = {int: (_int_range, "RANGE"), Fraction: (_rational_list, "LIST")}
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="dedsums", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    # sum ------------------------------------------------------------------
-    p_sum = sub.add_parser("sum", help="evaluate one sum exactly")
-    fam_sub = p_sum.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    for family in SUM_FAMILIES:
-        order_names, mod_names, shift_names, _ = _FAMILY_SPECS[family]
-        fp = fam_sub.add_parser(family)
-        for name in order_names:
-            fp.add_argument(f"-{name}", type=int, required=True)
-        for name in mod_names:
-            fp.add_argument(f"-{name}", type=int, required=True)
-        for name in shift_names:
-            fp.add_argument(f"-{name}", type=parse_rational, required=True)
-        fp.add_argument("--format", choices=("plain", "json"), default="plain")
-
-    # verify ----------------------------------------------------------------
-    p_verify = sub.add_parser("verify", help="verify one identity instance")
-    ver_sub = p_verify.add_subparsers(dest="identity", required=True, metavar="IDENTITY")
-    for name, spec in IDENTITIES.items():
-        vp = ver_sub.add_parser(name)
-        for pname in spec.int_params:
-            vp.add_argument(f"-{pname}", type=int, required=True)
-        for pname in spec.rat_params:
-            vp.add_argument(f"-{pname}", type=parse_rational, required=True)
-        for flag in spec.flags:
-            vp.add_argument(f"--{flag}", action="store_true")
-        vp.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-
-    # sweep -----------------------------------------------------------------
-    p_sweep = sub.add_parser("sweep", help="verify an identity over a grid")
-    sw_sub = p_sweep.add_subparsers(dest="identity", required=True, metavar="IDENTITY")
-    for name, spec in IDENTITIES.items():
-        sp = sw_sub.add_parser(name)
-        for pname in spec.int_params:
-            sp.add_argument(f"-{pname}", type=_int_range, metavar="RANGE")
-        for pname in spec.rat_params:
-            sp.add_argument(f"-{pname}", type=_rational_list, metavar="LIST")
-        for flag in spec.flags:
-            sp.add_argument(f"--{flag}", action="store_true")
-        sp.add_argument("--random", type=int, default=0, metavar="N",
-                        help="append N seeded random hypothesis-respecting tuples")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=_default_workers())
-        sp.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-
-    # analytic ---------------------------------------------------------------
-    p_an = sub.add_parser("analytic", help="run one truncation check")
-    an_sub = p_an.add_subparsers(dest="target", required=True, metavar="TARGET")
-    ap = an_sub.add_parser("fourier")
-    ap.add_argument("-n", type=int, required=True)
-    ap.add_argument("-x", type=parse_rational, required=True)
-    ap.add_argument("-K", type=int, required=True)
-    ap = an_sub.add_parser("lemma24")
-    ap.add_argument("-j", type=int, required=True)
-    ap.add_argument("-b", type=int, required=True)
-    ap.add_argument("-r", type=int, required=True)
-    ap.add_argument("-K", type=int, required=True)
-    ap = an_sub.add_parser("lemma27")
-    ap.add_argument("-j", type=int, required=True)
-    ap.add_argument("-b", type=int, required=True)
-    ap.add_argument("-r", type=int, required=True)
-    ap.add_argument("-x", type=parse_rational, required=True)
-    ap.add_argument("-K", type=int, required=True)
-    ap = an_sub.add_parser("zeta-even")
-    ap.add_argument("-j", type=int, required=True)
-    ap.add_argument("-K", type=int, required=True)
-    for name in ("fourier", "lemma24", "lemma27", "zeta-even"):
-        an_sub.choices[name].add_argument(
-            "--format", choices=("json", "csv", "plain"), default="json")
-
+    for command, (help_text, key, registry, formats) in _COMMANDS.items():
+        tree = sub.add_parser(command, help=help_text).add_subparsers(
+            dest=key, required=True, metavar=key.upper())
+        for name, spec in registry.items():
+            p = tree.add_parser(name)
+            for pname, kind in spec.params.items():
+                if command == "sweep":
+                    grid_type, metavar = _GRID_TYPE[kind]
+                    p.add_argument(f"-{pname}", type=grid_type, metavar=metavar)
+                else:
+                    p.add_argument(f"-{pname}", type=_VALUE_TYPE[kind], required=True)
+            for flag in spec.flags:
+                p.add_argument(f"--{flag}", action="store_true")
+            if command == "sweep":
+                p.add_argument("--random", type=int, default=0, metavar="N",
+                               help="append N seeded random hypothesis-respecting tuples")
+                p.add_argument("--seed", type=int, default=0)
+                p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--format", choices=formats, default=formats[0])
     return top
 
 
 # ---------------------------------------------------------------------------
-# Report rendering
+# Report rendering: one row renderer per format, for verify and sweep alike
 # ---------------------------------------------------------------------------
 
 def _fmt_value(v) -> str:
@@ -218,62 +186,77 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _identity_csv_header(spec) -> str:
-    names = list(spec.param_order) + list(spec.flags)
-    return ",".join(["identity"] + names + ["lhs", "rhs", "residual", "pass", "counter"])
+def _columns(spec) -> list[str]:
+    return [*spec.params, *spec.flags]
 
 
-def _identity_csv_row(spec, report: IdentityReport | None,
-                      params: dict, error: str | None) -> str:
-    names = list(spec.param_order) + list(spec.flags)
-    cells = [spec.name]
-    for n in names:
-        cells.append(_fmt_value(params[n]) if n in params else "")
+def _given(spec, params: dict) -> list[tuple[str, object]]:
+    """The declared parameters and flags present in ``params``, in declared order."""
+    return [(n, params[n]) for n in _columns(spec) if n in params]
+
+
+def _kv(pairs) -> str:
+    return " ".join(f"{n}={_fmt_value(v)}" for n, v in pairs)
+
+
+def _json_row(spec, params: dict, report: IdentityReport | None, clause: str | None) -> str:
     if report is not None:
-        cells += [format_rational(report.lhs), format_rational(report.rhs),
-                  format_rational(report.residual), str(report.passed).lower(),
-                  "" if report.counter is None else str(report.counter)]
-    else:
-        cells += ["", "", "", "invalid", ""]
-    return ",".join(cells)
+        return report.to_json()
+    case = IdentityCase(spec.name, tuple(_given(spec, params)))
+    return json.dumps({"identity": spec.name, "params": case.to_json_dict(), "error": clause})
 
 
-def _identity_plain(report: IdentityReport) -> str:
-    kv = " ".join(f"{n}={_fmt_value(v)}" for n, v in report.case.params)
-    line = (f"{'PASS' if report.passed else 'FAIL'} {report.case.identity} {kv} "
+def _csv_header(spec) -> str:
+    return ",".join(["identity"] + _columns(spec) + ["lhs", "rhs", "residual", "pass", "counter"])
+
+
+def _csv_row(spec, params: dict, report: IdentityReport | None, clause: str | None) -> str:
+    cells = [spec.name] + [_fmt_value(params[n]) if n in params else "" for n in _columns(spec)]
+    if report is None:
+        return ",".join(cells + ["", "", "", "invalid", ""])
+    return ",".join(cells + [format_rational(report.lhs), format_rational(report.rhs),
+                             format_rational(report.residual), str(report.passed).lower(),
+                             "" if report.counter is None else str(report.counter)])
+
+
+def _plain_row(spec, params: dict, report: IdentityReport | None, clause: str | None) -> str:
+    kv = _kv(_given(spec, params))
+    if report is None:
+        return f"INVALID {spec.name} {kv} ({clause})"
+    line = (f"{'PASS' if report.passed else 'FAIL'} {spec.name} {kv} "
             f"residual={format_rational(report.residual)}")
     if report.counter is not None:
         line += f" counter={report.counter}"
     return line
 
 
-def _invalid_json(identity: str, params: dict, clause: str) -> str:
-    spec = IDENTITIES[identity]
-    enc = {}
-    for n in spec.param_order + spec.flags:
-        if n in params:
-            enc[n] = _fmt_value(params[n]) if isinstance(params[n], Fraction) else params[n]
-    return json.dumps({"identity": identity, "params": enc, "error": clause})
+def _summary_line(counts: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in counts.items())
 
 
-def _invalid_plain(identity: str, params: dict, clause: str) -> str:
-    kv = " ".join(f"{n}={_fmt_value(v)}" for n, v in params.items())
-    return f"INVALID {identity} {kv} ({clause})"
+# format -> (table header or None, row renderer, sweep summary line)
+_FORMATS = {
+    "json": (None, _json_row, json.dumps),
+    "csv": (_csv_header, _csv_row, lambda counts: "# " + _summary_line(counts)),
+    "plain": (None, _plain_row, _summary_line),
+}
 
 
 # ---------------------------------------------------------------------------
 # Subcommand drivers
 # ---------------------------------------------------------------------------
 
+def _args_for(spec, args) -> dict:
+    """The parsed values of ``spec``'s parameters, plus its flags that are set."""
+    values = {name: getattr(args, name) for name in spec.params}
+    values.update((flag, True) for flag in spec.flags if getattr(args, flag))
+    return values
+
+
 def _cmd_sum(args) -> int:
-    order_names, mod_names, shift_names, _ = _FAMILY_SPECS[args.family]
-    request = SumRequest(
-        family=args.family,
-        orders=tuple(getattr(args, n) for n in order_names),
-        moduli=tuple(getattr(args, n) for n in mod_names),
-        shifts=tuple(getattr(args, n) for n in shift_names),
-    )
     try:
+        request = SumRequest.from_json_dict(
+            {"family": args.family, **_args_for(SUM_FAMILIES[args.family], args)})
         value = request.evaluate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,34 +269,20 @@ def _cmd_sum(args) -> int:
     return 0
 
 
-def _collect_params(args, spec) -> dict:
-    params: dict = {}
-    for name in spec.param_order:
-        params[name] = getattr(args, name)
-    for flag in spec.flags:
-        if getattr(args, flag, False):
-            params[flag] = True
-    return params
-
-
 def _cmd_verify(args) -> int:
     spec = IDENTITIES[args.identity]
-    params = _collect_params(args, spec)
+    params = _args_for(spec, args)
+    header, row, _ = _FORMATS[args.format]
     try:
         report = run_case(args.identity, params)
     except HypothesisError as exc:
-        if args.format == "plain":
-            print(_invalid_plain(args.identity, params, exc.clause))
-        else:
-            print(_invalid_json(args.identity, params, exc.clause))
+        # A lone invalid case has no table to sit in, so csv prints it as JSON.
+        invalid_row = _plain_row if args.format == "plain" else _json_row
+        print(invalid_row(spec, params, None, exc.clause))
         return 2
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(_identity_csv_header(spec))
-        print(_identity_csv_row(spec, report, params, None))
-    else:
-        print(_identity_plain(report))
+    if header:
+        print(header(spec))
+    print(row(spec, params, report, None))
     return 0 if report.passed else 1
 
 
@@ -327,18 +296,18 @@ def _sweep_case(case: tuple[str, dict]):
 
 def _cmd_sweep(args) -> int:
     spec = IDENTITIES[args.identity]
-    grids = {name: getattr(args, name) for name in spec.param_order
+    grids = {name: getattr(args, name) for name in spec.params
              if getattr(args, name) is not None}
-    flags = tuple(f for f in spec.flags if getattr(args, f, False))
+    flags = tuple(f for f in spec.flags if getattr(args, f))
     sweep = SweepSpec(identity=args.identity, grids=grids,
                       random_count=args.random, seed=args.seed, flags=flags)
     try:
+        workers = _worker_count(args.workers)
         cases = [(args.identity, params) for params in sweep.cases()]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    workers = max(1, args.workers)
     if workers > 1 and len(cases) > 1:
         chunk = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -346,72 +315,39 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_case(c) for c in cases]
 
-    passes = failures = invalid = 0
-    if args.format == "csv":
-        print(_identity_csv_header(spec))
-    for (identity, params), (report, clause) in zip(cases, results):
-        if report is None:
-            invalid += 1
-            if args.format == "json":
-                print(_invalid_json(identity, params, clause))
-            elif args.format == "csv":
-                print(_identity_csv_row(spec, None, params, clause))
-            else:
-                print(_invalid_plain(identity, params, clause))
-            continue
-        if report.passed:
-            passes += 1
-        else:
-            failures += 1
-        if args.format == "json":
-            print(report.to_json())
-        elif args.format == "csv":
-            print(_identity_csv_row(spec, report, params, None))
-        else:
-            print(_identity_plain(report))
-    summary = {"cases": len(cases), "passes": passes,
-               "failures": failures, "invalid": invalid}
-    if args.format == "json":
-        print(json.dumps(summary))
-    elif args.format == "csv":
-        print("# " + " ".join(f"{k}={v}" for k, v in summary.items()))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in summary.items()))
-    return 0 if failures == 0 and invalid == 0 else 1
+    header, row, summary_line = _FORMATS[args.format]
+    if header:
+        print(header(spec))
+    counts = {"cases": len(cases), "passes": 0, "failures": 0, "invalid": 0}
+    for (_, params), (report, clause) in zip(cases, results):
+        outcome = "invalid" if report is None else "passes" if report.passed else "failures"
+        counts[outcome] += 1
+        print(row(spec, params, report, clause))
+    print(summary_line(counts))
+    return 0 if counts["failures"] == 0 and counts["invalid"] == 0 else 1
 
 
 def _cmd_analytic(args) -> int:
+    spec = ANALYTIC_TARGETS[args.target]
     try:
-        if args.target == "fourier":
-            report = fourier_partial(args.n, args.x, args.K)
-        elif args.target == "lemma24":
-            report = lemma24_check(args.j, args.b, args.r, args.K)
-        elif args.target == "lemma27":
-            report = lemma27_check(args.j, args.b, args.r, args.x, args.K)
-        else:
-            report = zeta_even_check(args.j, args.K)
+        report = spec.fn(**_args_for(spec, args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "plain":
         print(f"{'PASS' if report.passed else 'FAIL'} {report.target} "
-              + " ".join(f"{n}={_fmt_value(v)}" for n, v in report.params)
+              + _kv(report.params)
               + f" K={report.K} abs_error={report.abs_error!r} "
               + f"tolerance={report.tolerance!r}")
     elif args.format == "csv":
-        names = [n for n, _ in report.params]
-        data = report.to_json_dict()
-
-        def cell(v):
-            return f"{v[0]!r};{v[1]!r}" if isinstance(v, list) else \
-                (repr(v) if isinstance(v, float) else str(v))
-        print(",".join(["target"] + names
-                       + ["K", "approx", "reference", "abs_error", "tolerance", "pass"]))
-        print(",".join([report.target]
-                       + [str(data["params"][n]) for n in names]
-                       + [str(report.K), cell(data["approx"]), cell(data["reference"]),
-                          repr(report.abs_error), repr(report.tolerance),
-                          str(report.passed).lower()]))
+        def cell(v):  # a complex value is its two parts, "re;im"
+            return ";".join(map(repr, v)) if isinstance(v, tuple) else repr(v)
+        print(",".join(["target", *(n for n, _ in report.params),
+                        "K", "approx", "reference", "abs_error", "tolerance", "pass"]))
+        print(",".join([report.target, *(_fmt_value(v) for _, v in report.params),
+                        str(report.K), cell(report.approx), cell(report.reference),
+                        repr(report.abs_error), repr(report.tolerance),
+                        str(report.passed).lower()]))
     else:
         print(report.to_json())
     return 0 if report.passed else 1
@@ -420,13 +356,10 @@ def _cmd_analytic(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sum":
-        return _cmd_sum(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_analytic(args)
+    # Built per call, so each handler is looked up as a module attribute.
+    handlers = {"sum": _cmd_sum, "verify": _cmd_verify, "sweep": _cmd_sweep,
+                "analytic": _cmd_analytic}
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ __all__ = [
 Rational = Fraction
 
 # Literal grammar: optional leading '-', decimal integer, optionally followed
-# by '/' and a positive decimal integer.  No whitespace, no '+', no decimals.
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# by '/' and a positive decimal integer.  No whitespace, no '+', no decimals,
+# ASCII digits only; the whole text must match.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def gcd_pos(a: int, b: int) -> int:
@@ -100,7 +101,7 @@ def parse_rational(text: str) -> Fraction:
 
     The denominator, when present, must be a positive decimal integer.
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational literal: {text!r}")
     num = int(m.group(1))

@@ -31,12 +31,13 @@ The identity tags understood by :func:`run_case`:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Mapping, Optional, Sequence
 
 from .bernoulli import (
     bernoulli_function,
@@ -45,6 +46,7 @@ from .bernoulli import (
     sawtooth,
 )
 from .exact import binomial, format_rational, gcd_pos, is_integer, mod_inverse, sgn
+from .params import Params, coerce, declare, lookup
 from .sums import (
     _form,
     _lattice_sum,
@@ -53,6 +55,7 @@ from .sums import (
     carlitz_s,
     classical_s,
     count_ladder,
+    clear_caches as clear_sum_caches,
     hwz_s,
     rademacher_s,
     s_mn_plain,
@@ -144,12 +147,15 @@ class IdentityReport:
         return json.dumps(self.to_json_dict())
 
 
-def _report(identity: str, params: list[tuple[str, object]], lhs: Fraction,
+def _report(identity: str, values: tuple, lhs: Fraction,
             rhs: Fraction, counter: Optional[int] = None) -> IdentityReport:
+    # The case lists ``values`` under the identity's declared parameter names,
+    # then its flags (a flag's value is present only when it is set).
+    spec = IDENTITIES[identity]
     lhs, rhs = Fraction(lhs), Fraction(rhs)
     residual = lhs - rhs
     return IdentityReport(
-        case=IdentityCase(identity, tuple(params)),
+        case=IdentityCase(identity, tuple(zip((*spec.params, *spec.flags), values))),
         lhs=lhs, rhs=rhs, residual=residual, passed=(residual == 0),
         counter=counter,
     )
@@ -185,7 +191,7 @@ def check_dedekind(a: int, b: int) -> IdentityReport:
     _require(gcd_pos(a, b) == 1, "dedekind", "gcd(a, b) = 1")
     lhs = classical_s(a, b) + classical_s(b, a)
     rhs = Fraction(-1, 4) + (Fraction(a, b) + Fraction(1, a * b) + Fraction(b, a)) / 12
-    return _report("dedekind", [("a", a), ("b", b)], lhs, rhs)
+    return _report("dedekind", (a, b), lhs, rhs)
 
 
 def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> IdentityReport:
@@ -207,10 +213,7 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
         a1, b1, c1 = mod_inverse(a, b * c), mod_inverse(b, c * a), mod_inverse(c, a * b)
     lhs = classical_s(b * c1, a) + classical_s(c * a1, b) + classical_s(a * b1, c)
     rhs = Fraction(-1, 4) + (Fraction(a, b * c) + Fraction(b, c * a) + Fraction(c, a * b)) / 12
-    params = [("a", a), ("b", b), ("c", c)]
-    if dieter:
-        params.append(("dieter", True))
-    return _report(ident, params, lhs, rhs)
+    return _report(ident, (a, b, c, True) if dieter else (a, b, c), lhs, rhs)
 
 
 def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -228,7 +231,7 @@ def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRepo
         + b * bernoulli_function(2, x) / (2 * a)
         + bernoulli_function(2, a * y + b * x) / (2 * a * b)
     )
-    return _report(ident, [("a", a), ("b", b), ("x", x), ("y", y)], lhs, rhs)
+    return _report(ident, (a, b, x, y), lhs, rhs)
 
 
 def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -249,7 +252,7 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
         + b * bernoulli_function(2, x) / (2 * a)
         + g * g * bernoulli_function(2, (a * y + b * x) / g) / (2 * a * b)
     )
-    return _report(ident, [("a", a), ("b", b), ("x", x), ("y", y)], lhs, rhs)
+    return _report(ident, (a, b, x, y), lhs, rhs)
 
 
 def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
@@ -271,8 +274,7 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
         + a * gbc * gbc * bernoulli_function(2, (b * z - c * y) / gbc) / (2 * b * c)
         + b * gca * gca * bernoulli_function(2, (c * x - a * z) / gca) / (2 * c * a)
     )
-    params = [("a", a), ("b", b), ("c", c), ("x", x), ("y", y), ("z", z)]
-    return _report(ident, params, lhs, rhs, counter=n_count)
+    return _report(ident, (a, b, c, x, y, z), lhs, rhs, counter=n_count)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
             * bernoulli_number(j) * bernoulli_number(n + 1 - j)
         )
     rhs = acc / (n + 1) + Fraction(n, n + 1) * bernoulli_number(n + 1)
-    return _report(ident, [("n", n), ("a", a), ("b", b)], lhs, rhs)
+    return _report(ident, (n, a, b), lhs, rhs)
 
 
 def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -314,7 +316,7 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
             * carlitz_kernel(j, y) * carlitz_kernel(n + 1 - j, x)
         )
     rhs = acc / (n + 1) + Fraction(n, n + 1) * carlitz_kernel(n + 1, a * y + b * x)
-    return _report(ident, [("n", n), ("a", a), ("b", b), ("x", x), ("y", y)], lhs, rhs)
+    return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +367,7 @@ def check_thm31(m: int, n: int, a: int, b: int,
     delta_term = Fraction(
         -_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(a * x + y) * _dz(b * x + z), 4)
     rhs = s1 + s2 + gcd_term + delta_term
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("x", x), ("y", y), ("z", z)]
-    return _report(ident, params, lhs, rhs)
+    return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
 def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -404,8 +405,7 @@ def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
         * bernoulli_function(m + n, (a * y + b * x) / g)
         / (a**n * b**m)
     )
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("x", x), ("y", y)]
-    return _report(ident, params, lhs, rhs)
+    return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
 def check_thm33(m: int, n: int, a: int, b: int,
@@ -442,8 +442,7 @@ def check_thm33(m: int, n: int, a: int, b: int,
     delta_term = Fraction(
         -sgn(a * b) * _dz(a * x + y) * _dz(b * x + z) * weight, 4)
     rhs = s1 + s2 + delta_term
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("x", x), ("y", y), ("z", z)]
-    return _report(ident, params, lhs, rhs)
+    return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
 def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -478,8 +477,7 @@ def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
         + n * b * bernoulli_function(m, x) * bernoulli_function(n - 1, y)
         - m * a * bernoulli_function(m - 1, x) * bernoulli_function(n, y)
     )
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("x", x), ("y", y)]
-    return _report(ident, params, lhs, rhs)
+    return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +523,7 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
     )
     delta_term = Fraction(-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
     rhs = s1 + s2 + gcd_term + delta_term
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("c", c),
-              ("x", x), ("y", y), ("z", z)]
-    return _report(ident, params, lhs, rhs, counter=n_tilde)
+    return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
 def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -552,7 +548,7 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
         + Fraction(n, n + 1) * g ** (n + 1)
         * bernoulli_function(n + 1, (a * y + b * x) / g)
     )
-    return _report(ident, [("n", n), ("a", a), ("b", b), ("x", x), ("y", y)], lhs, rhs)
+    return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
 def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
@@ -588,8 +584,7 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
         + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
         + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1)
     ) * bernoulli_number(p + 1) - Fraction(_kd(1, p) * a * b * c * n_hat, 2)
-    params = [("p", p), ("r", r), ("a", a), ("b", b), ("c", c)]
-    return _report(ident, params, lhs, rhs, counter=n_hat)
+    return _report(ident, (p, r, a, b, c), lhs, rhs, counter=n_hat)
 
 
 def check_thm44(m: int, n: int, a: int, b: int, c: int,
@@ -628,9 +623,7 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = Fraction(-sgn(a * b) * weight * n_tilde, 4)
     rhs = s1 + s2 + delta_term
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("c", c),
-              ("x", x), ("y", y), ("z", z)]
-    return _report(ident, params, lhs, rhs, counter=n_tilde)
+    return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
 def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
@@ -665,8 +658,7 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
         - m * a * _ipow(c, m + n - 1) * s_mn_plain(n, m - 1, b, -a, c)
         - Fraction(weight * c * c * n_hat, 4)
     )
-    params = [("m", m), ("n", n), ("a", a), ("b", b), ("c", c)]
-    return _report(ident, params, lhs, rhs, counter=n_hat)
+    return _report(ident, (m, n, a, b, c), lhs, rhs, counter=n_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -675,143 +667,107 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Declared parameter shape of one identity (drives CLI and sweeps)."""
+    """Declared parameters of one identity; they drive the CLI, sweeps and sampling.
+
+    The parameters are the orders, then the moduli (integers), then the
+    shifts (rationals).  The rest is the sampling data of :func:`random_case`:
+    each order's choices (a sequence, or a function of the values drawn so
+    far), whether moduli may be negative, and whether they must be pairwise
+    coprime.
+    """
 
     name: str
-    int_params: tuple[str, ...]
-    rat_params: tuple[str, ...]
     fn: Callable[..., IdentityReport]
+    orders: Mapping[str, Sequence[int] | Callable[[dict], Sequence[int]]] = \
+        field(default_factory=dict)
+    moduli: tuple[str, ...] = ()
+    shifts: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
+    signed: bool = False
+    coprime: bool = False
 
-    @property
-    def param_order(self) -> tuple[str, ...]:
-        return self.int_params + self.rat_params
+    @cached_property
+    def params(self) -> Params:
+        return declare((*self.orders, *self.moduli), self.shifts)
 
+
+_AB, _ABC, _XY, _XYZ = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z")
+_MN4 = {"m": range(1, 5), "n": range(1, 5)}
+_MN3 = {"m": range(1, 4), "n": range(1, 4)}
+_N7 = {"n": range(7)}
 
 IDENTITIES: dict[str, IdentitySpec] = {
     spec.name: spec for spec in [
-        IdentitySpec("dedekind", ("a", "b"), (), check_dedekind),
-        IdentitySpec("rademacher3", ("a", "b", "c"), (), check_rademacher_three,
-                     flags=("dieter",)),
-        IdentitySpec("rademacher15", ("a", "b"), ("x", "y"), check_rademacher15),
-        IdentitySpec("eq319", ("a", "b"), ("x", "y"), check_rademacher_rad),
-        IdentitySpec("berndt", ("a", "b", "c"), ("x", "y", "z"), check_berndt),
-        IdentitySpec("apostol", ("n", "a", "b"), (), check_apostol),
-        IdentitySpec("carlitz", ("n", "a", "b"), ("x", "y"), check_carlitz),
-        IdentitySpec("thm31", ("m", "n", "a", "b"), ("x", "y", "z"), check_thm31),
-        IdentitySpec("cor32", ("m", "n", "a", "b"), ("x", "y"), check_cor32),
-        IdentitySpec("thm33", ("m", "n", "a", "b"), ("x", "y", "z"), check_thm33),
-        IdentitySpec("cor34", ("m", "n", "a", "b"), ("x", "y"), check_cor34),
-        IdentitySpec("thm41", ("m", "n", "a", "b", "c"), ("x", "y", "z"), check_thm41),
-        IdentitySpec("cor42", ("n", "a", "b"), ("x", "y"), check_cor42),
-        IdentitySpec("cor43", ("p", "r", "a", "b", "c"), (), check_cor43),
-        IdentitySpec("thm44", ("m", "n", "a", "b", "c"), ("x", "y", "z"), check_thm44),
-        IdentitySpec("cor45", ("m", "n", "a", "b", "c"), (), check_cor45),
+        IdentitySpec("dedekind", check_dedekind, moduli=_AB, coprime=True),
+        IdentitySpec("rademacher3", check_rademacher_three, moduli=_ABC,
+                     flags=("dieter",), coprime=True),
+        IdentitySpec("rademacher15", check_rademacher15, {}, _AB, _XY, coprime=True),
+        IdentitySpec("eq319", check_rademacher_rad, {}, _AB, _XY),
+        IdentitySpec("berndt", check_berndt, {}, _ABC, _XYZ),
+        IdentitySpec("apostol", check_apostol, {"n": (1, 3, 5, 7)}, _AB, coprime=True),
+        IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True),
+        IdentitySpec("thm31", check_thm31, _MN4, _AB, _XYZ, signed=True),
+        IdentitySpec("cor32", check_cor32, _MN4, _AB, _XY, signed=True),
+        IdentitySpec("thm33", check_thm33, _MN4, _AB, _XYZ, signed=True),
+        IdentitySpec("cor34", check_cor34, _MN4, _AB, _XY, signed=True),
+        IdentitySpec("thm41", check_thm41, _MN3, _ABC, _XYZ, signed=True),
+        IdentitySpec("cor42", check_cor42, _N7, _AB, _XY),
+        IdentitySpec("cor43", check_cor43,
+                     {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC),
+        IdentitySpec("thm44", check_thm44, _MN3, _ABC, _XYZ, signed=True),
+        IdentitySpec("cor45", check_cor45, _MN3, _ABC),
     ]
 }
 
 
 def run_case(identity: str, params: Mapping[str, object]) -> IdentityReport:
-    """Dispatch one identity instance; raises HypothesisError on bad tuples."""
-    try:
-        spec = IDENTITIES[identity]
-    except KeyError:
-        raise ValueError(f"unknown identity: {identity!r}") from None
-    kwargs: dict[str, object] = {}
-    for name in spec.int_params:
-        if name not in params:
-            raise ValueError(f"{identity}: missing parameter {name!r}")
-        kwargs[name] = int(params[name])  # type: ignore[arg-type]
-    for name in spec.rat_params:
-        if name not in params:
-            raise ValueError(f"{identity}: missing parameter {name!r}")
-        kwargs[name] = Fraction(params[name])  # type: ignore[arg-type]
-    for flag in spec.flags:
-        if params.get(flag):
-            kwargs[flag] = True
-    return spec.fn(**kwargs)
+    """Dispatch one identity instance; raises HypothesisError on bad tuples.
+
+    ``params`` must pass :func:`dedsums.params.coerce` (exact values of the
+    declared kinds, every declared name, no other name), else ValueError.
+    """
+    spec = lookup(IDENTITIES, identity, "identity")
+    return spec.fn(**coerce(identity, spec.params, params, spec.flags))
 
 
-def _rand_rational(rng) -> Fraction:
-    # Documented sweep distribution: numerator uniform in [-9, 9],
-    # denominator uniform in [1, 9], then reduced.
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def _rand_nonzero(rng) -> int:
-    return rng.choice((-1, 1)) * rng.randint(1, 9)
-
-
-def _rand_coprime_pair(rng) -> tuple[int, int]:
-    while True:
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
-        if gcd_pos(a, b) == 1:
-            return a, b
+# Sampling distribution: moduli uniform in 1..9 (times a uniform sign when
+# the identity allows negatives); shifts with numerator uniform in -9..9 and
+# denominator uniform in 1..9, then reduced.
+_MODULI = range(1, 10)
+_NUMERATORS, _DENOMINATORS = range(-9, 10), range(1, 10)
 
 
 def random_case(identity: str, rng) -> dict[str, object]:
     """One hypothesis-respecting random parameter tuple for ``identity``.
 
-    Deterministic given the state of ``rng``.  Moduli are drawn uniformly
-    from 1..9 (sign-symmetric where the identity allows negatives, with
-    rejection until hypotheses such as coprimality hold); orders from the
-    identity's natural small range; shifts via the documented rational
-    distribution.
+    Deterministic given the state of ``rng``, and drawn from the identity's
+    declared sampling data: pairwise-coprime moduli first, jointly, redrawn
+    until they are coprime; then each order from its choices; then the other
+    moduli; then the shifts.  Keys come in declared parameter order.
     """
-    if identity == "dedekind":
-        a, b = _rand_coprime_pair(rng)
-        return {"a": a, "b": b}
-    if identity == "rademacher3":
-        while True:
-            a, b, c = (rng.randint(1, 9) for _ in range(3))
-            if gcd_pos(a, b) == gcd_pos(b, c) == gcd_pos(a, c) == 1:
-                return {"a": a, "b": b, "c": c}
-    if identity == "rademacher15":
-        a, b = _rand_coprime_pair(rng)
-        return {"a": a, "b": b, "x": _rand_rational(rng), "y": _rand_rational(rng)}
-    if identity == "eq319":
-        return {"a": rng.randint(1, 9), "b": rng.randint(1, 9),
-                "x": _rand_rational(rng), "y": _rand_rational(rng)}
-    if identity == "berndt":
-        return {"a": rng.randint(1, 9), "b": rng.randint(1, 9), "c": rng.randint(1, 9),
-                "x": _rand_rational(rng), "y": _rand_rational(rng),
-                "z": _rand_rational(rng)}
-    if identity == "apostol":
-        a, b = _rand_coprime_pair(rng)
-        return {"n": rng.choice((1, 3, 5, 7)), "a": a, "b": b}
-    if identity == "carlitz":
-        a, b = _rand_coprime_pair(rng)
-        return {"n": rng.randint(0, 6), "a": a, "b": b,
-                "x": _rand_rational(rng), "y": _rand_rational(rng)}
-    if identity in ("thm31", "thm33"):
-        return {"m": rng.randint(1, 4), "n": rng.randint(1, 4),
-                "a": _rand_nonzero(rng), "b": _rand_nonzero(rng),
-                "x": _rand_rational(rng), "y": _rand_rational(rng),
-                "z": _rand_rational(rng)}
-    if identity in ("cor32", "cor34"):
-        return {"m": rng.randint(1, 4), "n": rng.randint(1, 4),
-                "a": _rand_nonzero(rng), "b": _rand_nonzero(rng),
-                "x": _rand_rational(rng), "y": _rand_rational(rng)}
-    if identity in ("thm41", "thm44"):
-        return {"m": rng.randint(1, 3), "n": rng.randint(1, 3),
-                "a": _rand_nonzero(rng), "b": _rand_nonzero(rng),
-                "c": _rand_nonzero(rng),
-                "x": _rand_rational(rng), "y": _rand_rational(rng),
-                "z": _rand_rational(rng)}
-    if identity == "cor42":
-        return {"n": rng.randint(0, 6), "a": rng.randint(1, 9), "b": rng.randint(1, 9),
-                "x": _rand_rational(rng), "y": _rand_rational(rng)}
-    if identity == "cor43":
-        p = rng.choice((1, 3, 5))
-        return {"p": p, "r": rng.randint(0, p - 1), "a": rng.randint(1, 9),
-                "b": rng.randint(1, 9), "c": rng.randint(1, 9)}
-    if identity == "cor45":
-        return {"m": rng.randint(1, 3), "n": rng.randint(1, 3),
-                "a": rng.randint(1, 9), "b": rng.randint(1, 9), "c": rng.randint(1, 9)}
-    raise ValueError(f"unknown identity: {identity!r}")
+    spec = lookup(IDENTITIES, identity, "identity")
+
+    def modulus() -> int:
+        sign = rng.choice((-1, 1)) if spec.signed else 1
+        return sign * rng.choice(_MODULI)
+
+    drawn: dict[str, object] = {}
+    while spec.coprime and not drawn:  # until one joint draw is pairwise coprime
+        moduli = [modulus() for _ in spec.moduli]
+        if all(math.gcd(u, v) == 1 for u, v in itertools.combinations(moduli, 2)):
+            drawn = dict(zip(spec.moduli, moduli))
+    for name, choices in spec.orders.items():
+        drawn[name] = rng.choice(choices(drawn) if callable(choices) else choices)
+    for name in spec.moduli:
+        if name not in drawn:
+            drawn[name] = modulus()
+    for name in spec.shifts:
+        drawn[name] = Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
+    return {name: drawn[name] for name in spec.params}
 
 
 def clear_caches() -> None:
-    """Drop memoized inner sums and powers (used to bound memory in long sweeps)."""
+    """Drop every evaluation memo: inner sums, powers, family sums and kernel values."""
     _inner_pair_sum.cache_clear()
     _ipow.cache_clear()
+    clear_sum_caches()

@@ -35,9 +35,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple
 
-from .bernoulli import _bbar_pair, _carlitz_pair, bernoulli_number, bernoulli_poly
-from .exact import floor_frac, format_rational, parse_rational
+from .bernoulli import _bbar_pair, _carlitz_pair, bernoulli_number, bernoulli_poly, clear_eval_cache
+from .exact import floor_frac, format_rational
+from .params import Params, coerce, declare, lookup
 
 __all__ = [
     "classical_s",
@@ -359,28 +361,40 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     return (abs(c) - 1 - residue) // step + 1
 
 
-_FAMILY_SPECS = {
-    # family tag -> (order names, modulus names, shift names, evaluator)
-    "classical": ((), ("a", "b"), (), classical_s),
-    "rademacher": ((), ("a", "b"), ("x", "y"), rademacher_s),
-    "berndt3": ((), ("a", "b", "c"), ("x", "y", "z"), berndt_s),
-    "apostol": (("n",), ("a", "b"), (), apostol_s),
-    "carlitz": (("n",), ("a", "b"), ("x", "y"), carlitz_s),
-    "hwz": (("m", "n"), ("a", "b", "c"), ("x", "y", "z"), hwz_s),
-    "two_term_mn": (("m", "n"), ("a", "b"), ("x", "y"), s_mn_two),
-    "two_term_n": (("n",), ("a", "b"), ("x", "y"), s_n_two),
-    "plain_mn": (("m", "n"), ("a", "b", "c"), (), s_mn_plain),
-}
+class FamilySpec(NamedTuple):
+    """Declared parameters of one sum family: orders, moduli, shifts, in that order."""
 
-SUM_FAMILIES = tuple(_FAMILY_SPECS)
+    fn: Callable[..., Fraction]
+    orders: tuple[str, ...]
+    moduli: tuple[str, ...]
+    shifts: tuple[str, ...]
+    flags = ()
+
+    @property
+    def params(self) -> Params:
+        return declare(self.orders + self.moduli, self.shifts)
+
+
+SUM_FAMILIES: dict[str, FamilySpec] = {
+    "classical": FamilySpec(classical_s, (), ("a", "b"), ()),
+    "rademacher": FamilySpec(rademacher_s, (), ("a", "b"), ("x", "y")),
+    "berndt3": FamilySpec(berndt_s, (), ("a", "b", "c"), ("x", "y", "z")),
+    "apostol": FamilySpec(apostol_s, ("n",), ("a", "b"), ()),
+    "carlitz": FamilySpec(carlitz_s, ("n",), ("a", "b"), ("x", "y")),
+    "hwz": FamilySpec(hwz_s, ("m", "n"), ("a", "b", "c"), ("x", "y", "z")),
+    "two_term_mn": FamilySpec(s_mn_two, ("m", "n"), ("a", "b"), ("x", "y")),
+    "two_term_n": FamilySpec(s_n_two, ("n",), ("a", "b"), ("x", "y")),
+    "plain_mn": FamilySpec(s_mn_plain, ("m", "n"), ("a", "b", "c"), ()),
+}
 
 
 @dataclass(frozen=True)
 class SumRequest:
     """A sum family name plus its full parameter tuple.
 
-    ``orders`` and ``shifts`` must match the family's arity (empty tuples
-    where the family takes none).  The canonical JSON encoding uses the
+    ``orders``, ``moduli`` and ``shifts`` must match the family's arity
+    (empty tuples where the family takes none), and every value must pass
+    :func:`dedsums.params.coerce`.  The canonical JSON encoding uses the
     family tag string, plain integers, and rational literal strings.
     """
 
@@ -389,59 +403,46 @@ class SumRequest:
     moduli: tuple[int, ...] = ()
     shifts: tuple[Fraction, ...] = ()
 
-    def _spec(self):
-        try:
-            return _FAMILY_SPECS[self.family]
-        except KeyError:
-            raise ValueError(f"unknown sum family: {self.family!r}") from None
+    def _spec(self) -> FamilySpec:
+        return lookup(SUM_FAMILIES, self.family, "sum family")
+
+    def _values(self) -> dict:
+        spec = self._spec()
+        shape = (len(spec.orders), len(spec.moduli), len(spec.shifts))
+        if (len(self.orders), len(self.moduli), len(self.shifts)) != shape:
+            raise ValueError(f"{self.family} takes {shape[0]} order(s), {shape[1]} moduli "
+                             f"and {shape[2]} shift(s)")
+        values = (*self.orders, *self.moduli, *self.shifts)
+        return coerce(self.family, spec.params, dict(zip(spec.params, values)))
 
     def validate(self) -> None:
-        order_names, mod_names, shift_names, _ = self._spec()
-        if len(self.orders) != len(order_names):
-            raise ValueError(
-                f"{self.family} takes {len(order_names)} order(s), got {len(self.orders)}")
-        if len(self.moduli) != len(mod_names):
-            raise ValueError(
-                f"{self.family} takes {len(mod_names)} moduli, got {len(self.moduli)}")
-        if len(self.shifts) != len(shift_names):
-            raise ValueError(
-                f"{self.family} takes {len(shift_names)} shift(s), got {len(self.shifts)}")
-        if self.moduli[-1] == 0:
-            raise ValueError(f"modulus {mod_names[-1]} must be nonzero")
+        """Check the family, the arity and the value types; the family checks the rest."""
+        self._values()
 
     def evaluate(self) -> Fraction:
-        self.validate()
-        _, _, _, fn = self._spec()
-        return fn(*self.orders, *self.moduli, *map(Fraction, self.shifts))
+        return self._spec().fn(*self._values().values())
 
     def to_json_dict(self) -> dict:
-        order_names, mod_names, shift_names, _ = self._spec()
-        out: dict = {"family": self.family}
-        for name, v in zip(order_names, self.orders):
-            out[name] = v
-        for name, v in zip(mod_names, self.moduli):
-            out[name] = v
-        for name, v in zip(shift_names, self.shifts):
-            out[name] = format_rational(v)
-        return out
+        kinds = self._spec().params
+        return {"family": self.family,
+                **{name: format_rational(v) if kinds[name] is Fraction else v
+                   for name, v in self._values().items()}}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SumRequest":
-        family = data.get("family")
-        if family not in _FAMILY_SPECS:
-            raise ValueError(f"unknown sum family: {family!r}")
-        order_names, mod_names, shift_names, _ = _FAMILY_SPECS[family]
-        try:
-            orders = tuple(int(data[n]) for n in order_names)
-            moduli = tuple(int(data[n]) for n in mod_names)
-            shifts = tuple(parse_rational(str(data[n])) for n in shift_names)
-        except KeyError as exc:
-            raise ValueError(f"missing parameter {exc.args[0]!r} for {family}") from None
-        return cls(family=family, orders=orders, moduli=moduli, shifts=shifts)
+    def from_json_dict(cls, data: Mapping) -> "SumRequest":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a sum request must be a mapping, got {data!r}")
+        values = dict(data)
+        family = values.pop("family", None)
+        spec = lookup(SUM_FAMILIES, family, "sum family")
+        v = coerce(family, spec.params, values)
+        return cls(family=family, orders=tuple(v[n] for n in spec.orders),
+                   moduli=tuple(v[n] for n in spec.moduli),
+                   shifts=tuple(v[n] for n in spec.shifts))
 
 
 def clear_caches() -> None:
-    """Drop all memoized sum values (used to bound memory in long sweeps)."""
-    for fn in (classical_s, rademacher_s, berndt_s, apostol_s, carlitz_s,
-               hwz_s, s_mn_two, s_n_two, s_mn_plain, count_ladder):
+    """Drop all memoized sum values and kernel evaluations (bounds memory in long sweeps)."""
+    for fn in (*(spec.fn for spec in SUM_FAMILIES.values()), count_ladder):
         fn.cache_clear()
+    clear_eval_cache()

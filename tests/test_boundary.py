@@ -1,0 +1,160 @@
+"""The input boundary: inexact or malformed inputs fail loudly, never pass.
+
+``run_case``, ``SumRequest.from_json_dict`` and ``cli.main`` are driven with
+a valid input that has one defect: a float, a bool, a junk string, ``None``
+or a list in place of a value, a missing or unknown name, a non-bool flag,
+or an unknown tag.  The only allowed outcomes are ``ValueError`` (which
+``HypothesisError`` subclasses) and, on the command line, exit code 2.  A
+report, a value or any other exception fails the test.
+"""
+
+import contextlib
+import io
+import os
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dedsums import cli
+from dedsums.exact import parse_rational
+from dedsums.reciprocity import IDENTITIES, random_case, run_case
+from dedsums.sums import SUM_FAMILIES, SumRequest
+
+
+def _accepted(text: str) -> bool:
+    """Whether any parser of a command-line value would take ``text``."""
+    for parse in (int, parse_rational, cli._int_range, cli._rational_list):
+        try:
+            parse(text)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+# Text no value parser accepts; a leading '-' could read as an option.
+JUNK_TEXT = st.one_of(
+    st.sampled_from(["", "abc", "1.5", "0.1", "1e3", "nan", "inf", "True", "None",
+                     "1/0", "1//2", "0x10", "½", "5\n", "٣"]),
+    st.text(max_size=6),
+).filter(lambda t: not t.startswith("-") and not _accepted(t))
+# Not an exact value of any kind.
+BAD_VALUE = st.one_of(st.floats(), st.booleans(), JUNK_TEXT, st.none(),
+                      st.lists(st.integers(), max_size=2))
+# Also not an integer: exact rationals and integer literals as strings.
+BAD_INT = st.one_of(BAD_VALUE, st.fractions(), st.integers().map(str))
+UNKNOWN_TAG = st.text(max_size=8).filter(
+    lambda t: t not in IDENTITIES and t not in SUM_FAMILIES)
+
+
+def _defect(draw, values: dict, params: dict, flags=()) -> None:
+    """Give ``values`` one defect, in place."""
+    kinds = ["bad value", "missing", "unknown name"] + (["bad flag"] if flags else [])
+    kind = draw(st.sampled_from(kinds))
+    name = draw(st.sampled_from(sorted(params)))
+    if kind == "bad value":
+        values[name] = draw(BAD_INT if params[name] is int else BAD_VALUE)
+    elif kind == "missing":
+        del values[name]
+    elif kind == "unknown name":
+        extra = draw(st.text(min_size=1, max_size=4).filter(
+            lambda t: t not in params and t not in flags and t != "family"))
+        values[extra] = draw(st.one_of(st.integers(), st.just(Fraction(1, 2))))
+    else:
+        values[draw(st.sampled_from(flags))] = draw(
+            st.one_of(st.integers(), JUNK_TEXT, st.none(), st.floats()))
+
+
+@st.composite
+def identity_inputs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(UNKNOWN_TAG), {}
+    identity = draw(st.sampled_from(sorted(IDENTITIES)))
+    spec = IDENTITIES[identity]
+    values = random_case(identity, random.Random(draw(st.integers(0, 2**16))))
+    _defect(draw, values, spec.params, spec.flags)
+    return identity, values
+
+
+@st.composite
+def family_inputs(draw):
+    family = draw(st.sampled_from(sorted(SUM_FAMILIES)))
+    spec = SUM_FAMILIES[family]
+    data = {"family": family}
+    for name, kind in spec.params.items():
+        data[name] = draw(st.integers(1, 5)) if kind is int else \
+            draw(st.sampled_from([Fraction(1, 3), "-2/5", 0]))
+    tag = draw(st.integers(0, 9))
+    if tag == 0:
+        data["family"] = draw(UNKNOWN_TAG)
+    elif tag == 1:
+        del data["family"]
+    else:
+        _defect(draw, data, spec.params)
+    return data
+
+
+@given(identity_inputs())
+@settings(max_examples=300, deadline=None)
+def test_run_case_rejects_every_defect(case):
+    identity, values = case
+    with pytest.raises(ValueError):
+        run_case(identity, values)
+
+
+@given(family_inputs())
+@settings(max_examples=300, deadline=None)
+def test_sum_request_rejects_every_defect(data):
+    with pytest.raises(ValueError):
+        SumRequest.from_json_dict(data)
+
+
+@pytest.mark.parametrize("values", [None, [("a", 2), ("b", 3)], "a=2 b=3"])
+def test_non_mapping_inputs_are_rejected(values):
+    with pytest.raises(ValueError):
+        run_case("dedekind", values)
+    with pytest.raises(ValueError):
+        SumRequest.from_json_dict(values)
+
+
+# subcommand -> the registry its parsers are built from
+_COMMANDS = {command: registry for command, (_, _, registry, _) in cli._COMMANDS.items()}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    registry = _COMMANDS[command]
+    name = draw(st.sampled_from(sorted(registry)))
+    spec = registry[name]
+    options = {f"-{p}": "1" if kind is int else "1/2" for p, kind in spec.params.items()}
+    kinds = ["bad value", "missing", "unknown tag", "flag value"]
+    kind = draw(st.sampled_from(kinds if spec.flags else kinds[:3]))
+    flags = [f"--{f}" for f in spec.flags]
+    if kind == "bad value":
+        options[draw(st.sampled_from(sorted(options)))] = draw(JUNK_TEXT)
+    elif kind == "missing":
+        del options[draw(st.sampled_from(sorted(options)))]
+    elif kind == "unknown tag":
+        name = draw(UNKNOWN_TAG.filter(lambda t: t not in registry and not t.startswith("-")))
+    else:
+        flags.append(draw(JUNK_TEXT))
+    return [command, name, *(t for pair in options.items() for t in pair), *flags]
+
+
+@given(cli_argvs())
+@settings(max_examples=200, deadline=None)
+def test_cli_rejects_every_defect(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("DEDSUMS_WORKERS", None)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2, (argv, out.getvalue(), err.getvalue())

@@ -145,7 +145,7 @@ class TestSweepCommand:
         args = ("sweep", "thm31", "-m", "1..2", "-n", "1..2", "-a", "1..2",
                 "-b", "1..2", "-x", "0,1/2", "-y", "0", "-z", "1/3")
         serial = run_cli(*args, env_extra={"DEDSUMS_WORKERS": "1"})
-        parallel = run_cli(*args, env_extra={"DEDSUMS_WORKERS": "3"})
+        parallel = run_cli(*args, env_extra={"DEDSUMS_WORKERS": "2"})
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 
@@ -207,6 +207,32 @@ class TestAnalyticCommand:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+class TestWorkerCount:
+    """A worker count that is not an integer >= 1 is a usage error of sweep."""
+
+    SWEEP = ["sweep", "dedekind", "-a", "2", "-b", "3"]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_option_below_one(self, count, monkeypatch, capsys):
+        from dedsums import cli
+        monkeypatch.delenv("DEDSUMS_WORKERS", raising=False)
+        assert cli.main(self.SWEEP + ["--workers", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --workers must be an integer >= 1, got '{count}'" in captured.err
+
+    def test_non_integer_environment(self, monkeypatch, capsys):
+        from dedsums import cli
+        monkeypatch.setenv("DEDSUMS_WORKERS", "abc")
+        assert cli.main(self.SWEEP) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: DEDSUMS_WORKERS must be an integer >= 1, got 'abc'" in captured.err
+        # The variable is read by sweep only, and --workers overrides it.
+        assert cli.main(["verify", "dedekind", "-a", "2", "-b", "3"]) == 0
+        assert cli.main(self.SWEEP + ["--workers", "1"]) == 0
+
+
 class TestSweepSpec:
     def test_grid_then_random_ordering(self):
         from dedsums.cli import SweepSpec
@@ -250,13 +276,14 @@ class TestExitOnFailure:
 
     def test_analytic_tolerance_failure_exits_one(self, monkeypatch, capsys):
         from dedsums import cli
-        from dedsums.analytic import TruncationReport
+        from dedsums.analytic import ANALYTIC_TARGETS, TruncationReport
 
         def fake_check(j, K):
             return TruncationReport("zeta_even", (("j", j),), K,
                                     1.0, 2.0, 1.0, 0.5, False)
 
-        monkeypatch.setattr(cli, "zeta_even_check", fake_check)
+        monkeypatch.setitem(ANALYTIC_TARGETS, "zeta-even",
+                            ANALYTIC_TARGETS["zeta-even"]._replace(fn=fake_check))
         rc = cli.main(["analytic", "zeta-even", "-j", "1", "-K", "10"])
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False

@@ -141,7 +141,8 @@ class TestLiteralFormat:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["", "+5", "1.5", "7/-3", "5/0", "1/ 2", "a/b", "1//2"])
+    @pytest.mark.parametrize("text", ["", "+5", "1.5", "7/-3", "5/0", "1/ 2", "a/b", "1//2",
+                                      "5\n", "\u0663", "1/\u0663"])
     def test_rejects_bad_literals(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

@@ -7,7 +7,9 @@ A renamed or removed name would make a benchmark run end in a traceback
 instead of its result line, so these tests run the same code here.
 """
 
+import contextlib
 import importlib.util
+import io
 import os
 from fractions import Fraction
 
@@ -76,3 +78,24 @@ def test_tracer_wraps_and_restores_the_package(bench):
     for module, attrs in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in attrs.items())
     assert dd.reciprocity.IDENTITIES == specs
+
+
+def test_tracer_sees_every_layer_of_a_cli_sweep(bench):
+    # cli-sweep's per-layer metrics come from these spans; a CLI that called
+    # its parser, sweep command, enumerator or run_case other than by module
+    # attribute would slip past the wrappers.
+    run, tracing, dd = bench
+    tracer = tracing.Tracer()
+    tracer.install(dd)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = dd.cli.main(["sweep", "dedekind", "-a", "1..2", "-b", "3,5", "--workers", "1"])
+    finally:
+        tracer.uninstall()
+        run.clear_caches(dd)
+    assert rc == 0
+    assert out.getvalue().splitlines()[-1] == \
+        '{"cases": 4, "passes": 4, "failures": 0, "invalid": 0}'
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "cli.build_parser", "cli.sweep", "cli.enumerate",
+            "reciprocity.run_case", "reciprocity.dedekind"} <= names

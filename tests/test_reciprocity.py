@@ -457,3 +457,19 @@ class TestClearCaches:
         bern_mod.clear_eval_cache()
         assert rec_mod._ipow.cache_info().currsize == 0
         assert bern_mod._poly_at_pair.cache_info().currsize == 0
+
+    def test_reciprocity_clear_alone_empties_every_memo(self):
+        # Tops as large as the modulus keep this sum on the direct route,
+        # which fills the kernel memo with one entry per kernel argument.
+        sums_mod.hwz_s(2, 3, 2000, 2001, 2011, F(1, 3), ZERO, F(1, 7))
+        run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
+                           "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
+        memos = [bern_mod._poly_at_pair, rec_mod._ipow, rec_mod._inner_pair_sum,
+                 sums_mod.count_ladder,
+                 *(spec.fn for spec in sums_mod.SUM_FAMILIES.values())]
+        assert bern_mod._poly_at_pair.cache_info().currsize > 4000
+        rec_mod.clear_caches()
+        assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+
+    def test_kernel_memo_is_bounded(self):
+        assert bern_mod._poly_at_pair.cache_info().maxsize == 1 << 16

@@ -342,8 +342,15 @@ class TestSumRequest:
             SumRequest("classical", orders=(1,), moduli=(2, 3)).validate()
         with pytest.raises(ValueError):
             SumRequest("hwz", orders=(1, 1), moduli=(1, 2), shifts=(ZERO,) * 3).validate()
-        with pytest.raises(ValueError):
-            SumRequest("classical", moduli=(2, 0)).validate()
+        # A zero modulus is the family's own precondition, checked on evaluation.
+        with pytest.raises(ValueError, match="modulus b must be nonzero"):
+            SumRequest("classical", moduli=(2, 0)).evaluate()
+
+    def test_json_of_a_malformed_request_is_refused(self):
+        for req in (SumRequest("classical", moduli=(2, 3, 4)),
+                    SumRequest("carlitz", orders=(2,), moduli=(1, 2), shifts=(0.5, F(1, 2)))):
+            with pytest.raises(ValueError):
+                req.to_json_dict()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
