@@ -3,13 +3,17 @@
 ``golden/random_cases.json`` holds, for every identity and seeds 0-4, twenty
 ``random_case`` draws from one ``random.Random(seed)``: names in key order,
 value types and values, and 64 bits drawn after the twenty cases, which pins
-how much of the stream the draws consumed.  ``golden/cli.json`` holds the
+how much of the stream the draws consumed.  It also holds the
+``run_case(...).to_json()`` report of the first four draws of each stream
+(320 reports, signed moduli included), which pins every checker's lhs, rhs,
+residual and counter bytes.  ``golden/cli.json`` holds the
 stdout, stderr and exit code of ``cli.main`` on a fixed command list: every
 subcommand in every ``--format``, grid and seeded-random sweeps, invalid
 cases, ``--help`` of every parser, and usage errors.
 
 Both files were recorded from the code before the parameter registries
-drove the sampler and the command line, and must keep matching.  To record
+drove the sampler and the command line (the reports before the product and
+three-modulus laws shared one binomial-side helper), and must keep matching.  To record
 them again (only when an output is meant to change), run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -24,11 +28,12 @@ import sys
 import pytest
 
 from dedsums import cli
-from dedsums.reciprocity import IDENTITIES, random_case
+from dedsums.reciprocity import IDENTITIES, random_case, run_case
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = range(5)
 DRAWS = 20
+REPORTS = 4
 COLUMNS = "80"
 
 _FAMILY_ARGS = {
@@ -132,14 +137,19 @@ def _encode(case: dict) -> str:
 
 
 def draw_cases() -> dict:
-    """{identity: {seed: {"cases": [encoded case, ...], "after": 64 bits}}}"""
+    """{identity: {seed: {"cases": [encoded case, ...], "after": 64 bits,
+    "reports": [report JSON of the first REPORTS cases, ...]}}}"""
     out = {}
     for identity in IDENTITIES:
         per_seed = {}
         for seed in SEEDS:
             rng = random.Random(seed)
-            cases = [_encode(random_case(identity, rng)) for _ in range(DRAWS)]
-            per_seed[str(seed)] = {"cases": cases, "after": rng.getrandbits(64)}
+            cases = [random_case(identity, rng) for _ in range(DRAWS)]
+            per_seed[str(seed)] = {
+                "cases": [_encode(case) for case in cases],
+                "after": rng.getrandbits(64),
+                "reports": [run_case(identity, case).to_json() for case in cases[:REPORTS]],
+            }
         out[identity] = per_seed
     return out
 
