@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
-from .params import Params
+from .params import Params, coerce
 
 __all__ = [
     "TruncationReport",
@@ -89,6 +89,13 @@ class TruncationReport:
         return json.dumps(self.to_json_dict())
 
 
+def _admit(tag: str, *args) -> tuple:
+    # The arguments of one registered check, admitted by the strict coercer
+    # under its ANALYTIC_TARGETS declaration: no float, bool or junk string.
+    params = ANALYTIC_TARGETS[tag].params
+    return tuple(coerce(tag, params, dict(zip(params, args))).values())
+
+
 def _cis(num: int, den: int) -> complex:
     """exp(2*pi*i * num/den) with exact integer argument reduction mod 1."""
     if den < 0:
@@ -137,7 +144,7 @@ def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
     Tolerance: |tail| <= 2*n!/(2*pi)^n * sum_{k>K} k^-n
                        <= 2*n!/((2*pi)^n (n-1)) * K^(1-n).
     """
-    x = Fraction(x)
+    n, x, K = _admit("fourier", n, x, K)
     value = fourier_partial_complex(n, x, K)
     approx = value.real
     reference = float(bernoulli_function(n, x))
@@ -211,6 +218,7 @@ def _tail_bound_unweighted(j: int, alpha: Fraction, K: int) -> float:
 
 def lemma24_check(j: int, b: int, r: int, K: int) -> TruncationReport:
     """Check the unweighted bilateral power sum against its closed form."""
+    j, b, r, K = _admit("lemma24", j, b, r, K)
     if j < 1:
         raise ValueError("power j must be >= 1")
     if b == 0:
@@ -238,11 +246,11 @@ def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationRepo
     comes from Abel summation: each one-sided tail is at most
     2/(|sin(pi x)| (K+1-|alpha|)), giving 8/(|sin(pi x)| K) after pairing.
     """
+    j, b, r, x, K = _admit("lemma27", j, b, r, x, K)
     if j < 1:
         raise ValueError("power j must be >= 1")
     if b == 0:
         raise ValueError("modulus b must be nonzero")
-    x = Fraction(x)
     alpha = Fraction(r, b)
     _gate_truncation_level(K, alpha)
     value = _bilateral_power_sum(j, alpha, x, K)
@@ -272,6 +280,7 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
 
     Tolerance is the integral tail bound K^(1-2j)/(2j-1).
     """
+    j, K = _admit("zeta-even", j, K)
     if j < 1:
         raise ValueError("j must be >= 1")
     if K < 1:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analytic import ANALYTIC_TARGETS
-from .exact import format_rational, parse_rational
+from .exact import _INTEGER_RE, format_rational, parse_rational
 from .reciprocity import (
     IDENTITIES,
     HypothesisError,
@@ -98,6 +98,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+def _int(text: str) -> int:
+    """An integer literal: the whole text is ASCII ``-?[0-9]+``."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"invalid integer literal: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's message reads "invalid int value: ..."
+
+
 def _int_range(text: str) -> list[int]:
     """Parse '1..3', '-3..-1,1..3', '2,5,7' into an integer list."""
     values: list[int] = []
@@ -105,12 +115,12 @@ def _int_range(text: str) -> list[int]:
         part = part.strip()
         if ".." in part:
             lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _int(lo_s), _int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
             values.extend(range(lo, hi + 1))
         elif part:
-            values.append(int(part))
+            values.append(_int(part))
     if not values:
         raise ValueError(f"empty integer range: {text!r}")
     return values
@@ -130,7 +140,7 @@ def _worker_count(option: int | None) -> int:
     else:
         source, text = "DEDSUMS_WORKERS", os.environ.get("DEDSUMS_WORKERS", "1")
     try:
-        count = int(text)
+        count = _int(text)
     except ValueError:
         count = 0
     if count < 1:
@@ -146,7 +156,7 @@ _COMMANDS = {
     "analytic": ("run one truncation check", "target", ANALYTIC_TARGETS, ("json", "csv", "plain")),
 }
 # parameter kind -> argparse type of one value, and of a sweep's value list
-_VALUE_TYPE = {int: int, Fraction: parse_rational}
+_VALUE_TYPE = {int: _int, Fraction: parse_rational}
 _GRID_TYPE = {int: (_int_range, "RANGE"), Fraction: (_rational_list, "LIST")}
 
 
@@ -168,10 +178,10 @@ def build_parser() -> _Parser:
             for flag in spec.flags:
                 p.add_argument(f"--{flag}", action="store_true")
             if command == "sweep":
-                p.add_argument("--random", type=int, default=0, metavar="N",
+                p.add_argument("--random", type=_int, default=0, metavar="N",
                                help="append N seeded random hypothesis-respecting tuples")
-                p.add_argument("--seed", type=int, default=0)
-                p.add_argument("--workers", type=int, default=None)
+                p.add_argument("--seed", type=_int, default=0)
+                p.add_argument("--workers", type=_int, default=None)
             p.add_argument("--format", choices=formats, default=formats[0])
     return top
 
@@ -269,29 +279,26 @@ def _cmd_sum(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    spec = IDENTITIES[args.identity]
-    params = _args_for(spec, args)
-    header, row, _ = _FORMATS[args.format]
-    try:
-        report = run_case(args.identity, params)
-    except HypothesisError as exc:
-        # A lone invalid case has no table to sit in, so csv prints it as JSON.
-        invalid_row = _plain_row if args.format == "plain" else _json_row
-        print(invalid_row(spec, params, None, exc.clause))
-        return 2
-    if header:
-        print(header(spec))
-    print(row(spec, params, report, None))
-    return 0 if report.passed else 1
-
-
-def _sweep_case(case: tuple[str, dict]):
+def _check_case(case: tuple[str, dict]):
+    """(report, None) for one case, or (None, clause) when it is invalid."""
     identity, params = case
     try:
         return run_case(identity, params), None
     except HypothesisError as exc:
         return None, exc.clause
+
+
+def _cmd_verify(args) -> int:
+    spec = IDENTITIES[args.identity]
+    params = _args_for(spec, args)
+    header, row, _ = _FORMATS[args.format]
+    report, clause = _check_case((args.identity, params))
+    if header:
+        print(header(spec))
+    print(row(spec, params, report, clause))
+    if report is None:
+        return 2
+    return 0 if report.passed else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -311,9 +318,9 @@ def _cmd_sweep(args) -> int:
     if workers > 1 and len(cases) > 1:
         chunk = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_case, cases, chunksize=chunk))
+            results = list(pool.map(_check_case, cases, chunksize=chunk))
     else:
-        results = [_sweep_case(c) for c in cases]
+        results = [_check_case(c) for c in cases]
 
     header, row, summary_line = _FORMATS[args.format]
     if header:

@@ -30,8 +30,10 @@ Rational = Fraction
 
 # Literal grammar: optional leading '-', decimal integer, optionally followed
 # by '/' and a positive decimal integer.  No whitespace, no '+', no decimals,
-# ASCII digits only; the whole text must match.
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# ASCII digits only; the whole text must match.  An integer literal (the
+# command line's) is the numerator alone.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(rf"({_INTEGER_RE.pattern})(?:/([0-9]+))?")
 
 
 def gcd_pos(a: int, b: int) -> int:

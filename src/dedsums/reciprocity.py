@@ -180,15 +180,36 @@ def _require(cond: bool, identity: str, clause: str) -> None:
         raise HypothesisError(identity, clause)
 
 
+def _require_moduli(identity: str, **moduli: int) -> None:
+    # The registry's modulus hypotheses, the same data random_case samples
+    # by: every modulus nonzero (signed) or >= 1, then, for coprime
+    # identities, the pairs (a, b), (b, c), (a, c) in that order.
+    spec = IDENTITIES[identity]
+    rule = "!= 0" if spec.signed else ">= 1"
+    for name, v in moduli.items():
+        _require(v != 0 if spec.signed else v >= 1, identity, f"{name} {rule}")
+    if spec.coprime:
+        items = list(moduli.items())
+        for i, k in ((0, 1), (1, 2), (0, 2)):
+            if k < len(items):
+                (u, p), (v, q) = items[i], items[k]
+                _require(gcd_pos(p, q) == 1, identity, f"gcd({u}, {v}) = 1")
+
+
+def _require_mn(identity: str, m: int, n: int, **moduli: int) -> None:
+    # The gate the product and three-modulus laws share.
+    _require(m >= 1, identity, "m >= 1")
+    _require(n >= 1, identity, "n >= 1")
+    _require_moduli(identity, **moduli)
+
+
 # ---------------------------------------------------------------------------
 # Classical two- and three-term laws
 # ---------------------------------------------------------------------------
 
 def check_dedekind(a: int, b: int) -> IdentityReport:
     """s(a,b) + s(b,a) = -1/4 + (a/b + 1/(ab) + b/a)/12 for coprime a, b >= 1."""
-    _require(a >= 1, "dedekind", "a >= 1")
-    _require(b >= 1, "dedekind", "b >= 1")
-    _require(gcd_pos(a, b) == 1, "dedekind", "gcd(a, b) = 1")
+    _require_moduli("dedekind", a=a, b=b)
     lhs = classical_s(a, b) + classical_s(b, a)
     rhs = Fraction(-1, 4) + (Fraction(a, b) + Fraction(1, a * b) + Fraction(b, a)) / 12
     return _report("dedekind", (a, b), lhs, rhs)
@@ -202,11 +223,7 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
     are used instead.  Both are valid representatives of the same summands.
     """
     ident = "rademacher3"
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v >= 1, ident, f"{name} >= 1")
-    _require(gcd_pos(a, b) == 1, ident, "gcd(a, b) = 1")
-    _require(gcd_pos(b, c) == 1, ident, "gcd(b, c) = 1")
-    _require(gcd_pos(a, c) == 1, ident, "gcd(a, c) = 1")
+    _require_moduli(ident, a=a, b=b, c=c)
     if dieter:
         a1, b1, c1 = mod_inverse(a, b), mod_inverse(b, c), mod_inverse(c, a)
     else:
@@ -219,9 +236,7 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
 def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Shifted two-term law for coprime a, b >= 1 (verbatim, no gcd powers)."""
     ident = "rademacher15"
-    _require(a >= 1, ident, "a >= 1")
-    _require(b >= 1, ident, "b >= 1")
-    _require(gcd_pos(a, b) == 1, ident, "gcd(a, b) = 1")
+    _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
     rhs = (
@@ -240,8 +255,7 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
     Valid for all a, b >= 1; reduces to the coprime law when gcd(a, b) = 1.
     """
     ident = "eq319"
-    _require(a >= 1, ident, "a >= 1")
-    _require(b >= 1, ident, "b >= 1")
+    _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
     g = gcd_pos(a, b)
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
@@ -258,8 +272,7 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
 def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Shifted three-term sawtooth law for a, b, c >= 1 with lattice counter N."""
     ident = "berndt"
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v >= 1, ident, f"{name} >= 1")
+    _require_moduli(ident, a=a, b=b, c=c)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     n_count = count_ladder(a, b, c, x, y, z)
     lhs = (
@@ -286,9 +299,7 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     ident = "apostol"
     _require(n >= 1, ident, "n >= 1")
     _require(n % 2 == 1, ident, "n odd")
-    _require(a >= 1, ident, "a >= 1")
-    _require(b >= 1, ident, "b >= 1")
-    _require(gcd_pos(a, b) == 1, ident, "gcd(a, b) = 1")
+    _require_moduli(ident, a=a, b=b)
     lhs = a * b**n * apostol_s(n, a, b) + b * a**n * apostol_s(n, b, a)
     acc = Fraction(0)
     for j in range(n + 2):
@@ -304,9 +315,7 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
     """Shifted higher-order law on the raw kernel B_n({.}), coprime a, b >= 1."""
     ident = "carlitz"
     _require(n >= 0, ident, "n >= 0")
-    _require(a >= 1, ident, "a >= 1")
-    _require(b >= 1, ident, "b >= 1")
-    _require(gcd_pos(a, b) == 1, ident, "gcd(a, b) = 1")
+    _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
     lhs = a * b**n * carlitz_s(n, a, b, x, y) + b * a**n * carlitz_s(n, b, a, y, x)
     acc = Fraction(0)
@@ -330,32 +339,38 @@ def _inner_pair_sum(j: int, k: int, top: int, mod: int, sub: Fraction,
     return _lattice_sum(j, _form(top, mod, shift, sub, -1), k, _form(1, mod, shift, x), abs(mod))
 
 
+def _binomial_side(scale: int | Fraction, m: int, n: int, a: int, b: int, derivative: bool,
+                   term: Callable[[int, int, Fraction], Fraction]) -> Fraction:
+    # One half T(m,n,a,b) of a law T(m,n,a,b,...) +- T(n,m,b,a,...):
+    #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k term(j, k),
+    # with k = m+n-j and w_k = 1/k for the integral-level laws (Thm 3.1,
+    # Cor 3.2, Thm 4.1), k = m+n-j-1 and w_k = 1 for the derivative-level ones.
+    # ``scale`` is the law's global factor (a sign, sgn(b), a power of c), and
+    # ``term(j, k, w)`` returns w * term(j, k).  Both let the small factors
+    # multiply together first: the lattice sums are the large operands, and
+    # every product with one of them costs a gcd of large integers.
+    acc = Fraction(0)
+    for j in range(m + 1):
+        coef = binomial(m, j) * (-1) ** j * a ** (m - j)
+        if derivative:
+            acc += term(j, m + n - j - 1, coef)
+        else:
+            acc += term(j, m + n - j, Fraction(coef, m + n - j))
+    return scale * n * _ipow(b, n - 1) * acc
+
+
 def check_thm31(m: int, n: int, a: int, b: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Product of two periodized factors as binomial-weighted lattice sums."""
     ident = "thm31"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    _require(a != 0, ident, "a != 0")
-    _require(b != 0, ident, "b != 0")
+    _require_mn(ident, m, n, a=a, b=b)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     lhs = bernoulli_function(m, a * x + y) * bernoulli_function(n, b * x + z)
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            Fraction(binomial(m, j) * (-1) ** j * a ** (m - j), m + n - j)
-            * _inner_pair_sum(j, m + n - j, a, b, y, z, x)
-        )
-    s1 *= n * _ipow(b, n - 1) * sgn(b)
-
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            Fraction(binomial(n, j) * (-1) ** j * b ** (n - j), m + n - j)
-            * _inner_pair_sum(j, m + n - j, b, a, z, y, x)
-        )
-    s2 *= m * _ipow(a, m - 1) * sgn(a)
+    def side(m, n, a, b, y, z):
+        return _binomial_side(
+            sgn(b), m, n, a, b, False,
+            lambda j, k, w: w * _inner_pair_sum(j, k, a, b, y, z, x))
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -366,36 +381,22 @@ def check_thm31(m: int, n: int, a: int, b: int,
     )
     delta_term = Fraction(
         -_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(a * x + y) * _dz(b * x + z), 4)
-    rhs = s1 + s2 + gcd_term + delta_term
+    rhs = side(m, n, a, b, y, z) + side(n, m, b, a, z, y) + gcd_term + delta_term
     return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
 def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Two-modulus projection of the product formula."""
     ident = "cor32"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    _require(a != 0, ident, "a != 0")
-    _require(b != 0, ident, "b != 0")
+    _require_mn(ident, m, n, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            Fraction(binomial(m, j) * (-1) ** (m - j) * a ** (m - j), m + n - j)
-            * s_mn_two(j, m + n - j, a, b, x, y)
-        )
-    s1 *= n * _ipow(b, n - 1) * sgn(b)
+    def side(m, n, a, b, x, y):
+        return _binomial_side(
+            (-1) ** m * sgn(b), m, n, a, b, False,
+            lambda j, k, w: w * s_mn_two(j, k, a, b, x, y))
 
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            Fraction(binomial(n, j) * (-1) ** (n - j) * b ** (n - j), m + n - j)
-            * s_mn_two(j, m + n - j, b, a, y, x)
-        )
-    s2 *= m * _ipow(a, m - 1) * sgn(a)
-    lhs = s1 + s2
-
+    lhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x)
     g = gcd_pos(a, b)
     rhs = (
         Fraction(-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(x) * _dz(y), 4)
@@ -412,65 +413,37 @@ def check_thm33(m: int, n: int, a: int, b: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Derivative-level product formula (no 1/(m+n-j) weights)."""
     ident = "thm33"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    _require(a != 0, ident, "a != 0")
-    _require(b != 0, ident, "b != 0")
+    _require_mn(ident, m, n, a=a, b=b)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     lhs = (
         m * a * bernoulli_function(m - 1, a * x + y) * bernoulli_function(n, b * x + z)
         + n * b * bernoulli_function(m, a * x + y) * bernoulli_function(n - 1, b * x + z)
     )
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            binomial(m, j) * (-1) ** j * a ** (m - j)
-            * _inner_pair_sum(j, m + n - j - 1, a, b, y, z, x)
-        )
-    s1 *= n * _ipow(b, n - 1) * sgn(b)
-
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            binomial(n, j) * (-1) ** j * b ** (n - j)
-            * _inner_pair_sum(j, m + n - j - 1, b, a, z, y, x)
-        )
-    s2 *= m * _ipow(a, m - 1) * sgn(a)
+    def side(m, n, a, b, y, z):
+        return _binomial_side(
+            sgn(b), m, n, a, b, True,
+            lambda j, k, w: w * _inner_pair_sum(j, k, a, b, y, z, x))
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = Fraction(
         -sgn(a * b) * _dz(a * x + y) * _dz(b * x + z) * weight, 4)
-    rhs = s1 + s2 + delta_term
+    rhs = side(m, n, a, b, y, z) + side(n, m, b, a, z, y) + delta_term
     return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
 def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Two-modulus projection of the derivative-level product formula."""
     ident = "cor34"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    _require(a != 0, ident, "a != 0")
-    _require(b != 0, ident, "b != 0")
+    _require_mn(ident, m, n, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            binomial(m, j) * (-1) ** (m - j) * a ** (m - j)
-            * s_mn_two(j, m + n - j - 1, a, b, x, y)
-        )
-    s1 *= n * _ipow(b, n - 1) * sgn(b)
+    def side(m, n, a, b, x, y):
+        return _binomial_side(
+            (-1) ** m * sgn(b), m, n, a, b, True,
+            lambda j, k, w: w * s_mn_two(j, k, a, b, x, y))
 
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            binomial(n, j) * (-1) ** (n - j) * b ** (n - j)
-            * s_mn_two(j, m + n - j - 1, b, a, y, x)
-        )
-    s2 *= m * _ipow(a, m - 1) * sgn(a)
-    lhs = s1 - s2
-
+    lhs = side(m, n, a, b, x, y) - side(n, m, b, a, y, x)
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
     rhs = (
         Fraction(-sgn(a * b) * _dz(x) * _dz(y) * weight, 4)
@@ -488,31 +461,15 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Three-modulus law expressing one generalized sum through cyclic mates."""
     ident = "thm41"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v != 0, ident, f"{name} != 0")
+    _require_mn(ident, m, n, a=a, b=b, c=c)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     n_tilde = count_ladder(a, b, c, x, y, z)
     lhs = hwz_s(m, n, a, b, c, x, y, z)
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            Fraction(binomial(m, j) * (-1) ** (m + n - j) * a ** (m - j), m + n - j)
-            * _ipow(c, -(m + n - j - 1))
-            * hwz_s(j, m + n - j, a, c, b, x, z, y)
-        )
-    s1 *= n * _ipow(b, n - 1) * sgn(b * c)
-
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            Fraction(binomial(n, j) * (-1) ** (m + n - j) * b ** (n - j), m + n - j)
-            * _ipow(c, -(m + n - j - 1))
-            * hwz_s(j, m + n - j, b, c, a, y, z, x)
-        )
-    s2 *= m * _ipow(a, m - 1) * sgn(a * c)
+    def side(m, n, a, b, x, y):
+        return _binomial_side(
+            (-1) ** (m + n) * sgn(b * c), m, n, a, b, False,
+            lambda j, k, w: w * _ipow(c, 1 - k) * hwz_s(j, k, a, c, b, x, z, y))
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -522,7 +479,7 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
         / (a**n * b**m)
     )
     delta_term = Fraction(-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
-    rhs = s1 + s2 + gcd_term + delta_term
+    rhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x) + gcd_term + delta_term
     return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
@@ -530,8 +487,7 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
     """Shifted one-order projection, positive moduli, no coprimality needed."""
     ident = "cor42"
     _require(n >= 0, ident, "n >= 0")
-    _require(a >= 1, ident, "a >= 1")
-    _require(b >= 1, ident, "b >= 1")
+    _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
     lhs = a * b**n * s_n_two(n, a, b, x, y) + b * a**n * s_n_two(n, b, a, y, x)
 
@@ -557,8 +513,7 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     _require(p >= 1, ident, "p >= 1")
     _require(p % 2 == 1, ident, "p odd")
     _require(0 <= r <= p - 1, ident, "0 <= r <= p - 1")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v >= 1, ident, f"{name} >= 1")
+    _require_moduli(ident, a=a, b=b, c=c)
     n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
 
     lhs = Fraction(0)
@@ -591,10 +546,7 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Derivative-level three-modulus law."""
     ident = "thm44"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v != 0, ident, f"{name} != 0")
+    _require_mn(ident, m, n, a=a, b=b, c=c)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     n_tilde = count_ladder(a, b, c, x, y, z)
     lhs = (
@@ -602,56 +554,29 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
         + n * b * hwz_s(m, n - 1, a, b, c, x, y, z)
     )
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            binomial(m, j) * (-1) ** (m - j) * a ** (m - j)
-            * _ipow(c, -(m + n - j - 2))
-            * hwz_s(j, m + n - j - 1, a, c, b, x, z, y)
-        )
-    s1 *= (-1) ** (n - 1) * n * _ipow(b, n - 1) * sgn(b * c)
-
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            binomial(n, j) * (-1) ** (n - j) * b ** (n - j)
-            * _ipow(c, -(m + n - j - 2))
-            * hwz_s(j, m + n - j - 1, b, c, a, y, z, x)
-        )
-    s2 *= (-1) ** (m - 1) * m * _ipow(a, m - 1) * sgn(a * c)
+    def side(m, n, a, b, x, y):
+        return _binomial_side(
+            (-1) ** (m + n - 1) * sgn(b * c), m, n, a, b, True,
+            lambda j, k, w: w * _ipow(c, 1 - k) * hwz_s(j, k, a, c, b, x, z, y))
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = Fraction(-sgn(a * b) * weight * n_tilde, 4)
-    rhs = s1 + s2 + delta_term
+    rhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x) + delta_term
     return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
 def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
     """Derivative-level unshifted three-term law for positive moduli."""
     ident = "cor45"
-    _require(m >= 1, ident, "m >= 1")
-    _require(n >= 1, ident, "n >= 1")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        _require(v >= 1, ident, f"{name} >= 1")
+    _require_mn(ident, m, n, a=a, b=b, c=c)
     n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
 
-    s1 = Fraction(0)
-    for j in range(m + 1):
-        s1 += (
-            binomial(m, j) * (-1) ** (m - j) * a ** (m - j) * _ipow(c, j - m)
-            * s_mn_plain(j, m + n - j - 1, a, c, b)
-        )
-    s1 *= n * _ipow(b, n - 1) * _ipow(c, m + 1)
+    def side(m, n, a, b):
+        return _binomial_side(
+            (-1) ** m * _ipow(c, m + 1), m, n, a, b, True,
+            lambda j, k, w: w * _ipow(c, j - m) * s_mn_plain(j, k, a, c, b))
 
-    s2 = Fraction(0)
-    for j in range(n + 1):
-        s2 += (
-            binomial(n, j) * (-1) ** (n - j) * b ** (n - j) * _ipow(c, j - n)
-            * s_mn_plain(j, m + n - j - 1, b, c, a)
-        )
-    s2 *= m * _ipow(a, m - 1) * _ipow(c, n + 1)
-    lhs = s1 - s2
-
+    lhs = side(m, n, a, b) - side(n, m, b, a)
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
     rhs = (
         n * b * _ipow(c, m + n - 1) * s_mn_plain(m, n - 1, a, -b, c)

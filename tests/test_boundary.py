@@ -3,7 +3,8 @@
 ``run_case``, ``SumRequest.from_json_dict`` and ``cli.main`` are driven with
 a valid input that has one defect: a float, a bool, a junk string, ``None``
 or a list in place of a value, a missing or unknown name, a non-bool flag,
-or an unknown tag.  The only allowed outcomes are ``ValueError`` (which
+or an unknown tag.  The four registered analytic checks, called directly,
+get one bad value in place of a valid argument.  The only allowed outcomes are ``ValueError`` (which
 ``HypothesisError`` subclasses) and, on the command line, exit code 2.  A
 report, a value or any other exception fails the test.
 """
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsums import cli
+from dedsums.analytic import ANALYTIC_TARGETS
 from dedsums.exact import parse_rational
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import SUM_FAMILIES, SumRequest
@@ -27,7 +29,7 @@ from dedsums.sums import SUM_FAMILIES, SumRequest
 
 def _accepted(text: str) -> bool:
     """Whether any parser of a command-line value would take ``text``."""
-    for parse in (int, parse_rational, cli._int_range, cli._rational_list):
+    for parse in (cli._VALUE_TYPE[int], parse_rational, cli._int_range, cli._rational_list):
         try:
             parse(text)
             return True
@@ -119,6 +121,39 @@ def test_non_mapping_inputs_are_rejected(values):
         run_case("dedekind", values)
     with pytest.raises(ValueError):
         SumRequest.from_json_dict(values)
+
+
+# A valid call of each registered analytic check, small enough to run fast.
+_ANALYTIC_VALID = {
+    "fourier": {"n": 2, "x": Fraction(1, 4), "K": 50},
+    "lemma24": {"j": 2, "b": 3, "r": 1, "K": 50},
+    "lemma27": {"j": 2, "b": 3, "r": 1, "x": Fraction(1, 5), "K": 50},
+    "zeta-even": {"j": 1, "K": 50},
+}
+
+
+@st.composite
+def analytic_calls(draw):
+    tag = draw(st.sampled_from(sorted(ANALYTIC_TARGETS)))
+    spec = ANALYTIC_TARGETS[tag]
+    values = dict(_ANALYTIC_VALID[tag])
+    name = draw(st.sampled_from(sorted(spec.params)))
+    values[name] = draw(BAD_INT if spec.params[name] is int else BAD_VALUE)
+    return spec.fn, values
+
+
+def test_analytic_valid_calls_run():
+    assert sorted(_ANALYTIC_VALID) == sorted(ANALYTIC_TARGETS)
+    for tag, values in _ANALYTIC_VALID.items():
+        assert ANALYTIC_TARGETS[tag].fn(*values.values()).passed, tag
+
+
+@given(analytic_calls())
+@settings(max_examples=200, deadline=None)
+def test_analytic_checks_reject_every_bad_value(call):
+    fn, values = call
+    with pytest.raises(ValueError):
+        fn(*values.values())
 
 
 # subcommand -> the registry its parsers are built from

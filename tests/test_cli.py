@@ -233,6 +233,26 @@ class TestWorkerCount:
         assert cli.main(self.SWEEP + ["--workers", "1"]) == 0
 
 
+class TestStrictIntegers:
+    """Integer values and range bounds are ASCII ``-?[0-9]+``, as a rational's numerator."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "dedekind", "-a", "\u0663", "-b", "2", "--format", "plain"],
+        ["sweep", "dedekind", "-a", "3_0", "-b", "7"],
+        ["sweep", "dedekind", "-a", "3", "-b", " +7"],
+        ["sweep", "dedekind", "-a", "1..\uff13", "-b", "7"],
+        ["sweep", "dedekind", "-a", "1", "-b", "2", "--seed", "+1"],
+    ])
+    def test_lenient_integer_text_is_a_usage_error(self, argv, capsys):
+        from dedsums import cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid int value" in captured.err or "invalid _int_range value" in captured.err
+
+
 class TestSweepSpec:
     def test_grid_then_random_ordering(self):
         from dedsums.cli import SweepSpec

@@ -75,6 +75,9 @@ def test_tracer_wraps_and_restores_the_package(bench):
     names = {span[0] for span in tracer.spans}
     assert {"reciprocity.run_case", "reciprocity.thm41", "sums.hwz_s",
             "sums.count_ladder", "sums.classical_s"} <= names
+    # One lhs sum, then m + 1 = 3 and n + 1 = 4 for the two sides of the rhs:
+    # every family call of the checker passes through the traced name.
+    assert sum(span[0] == "sums.hwz_s" for span in tracer.spans) == 8
     for module, attrs in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in attrs.items())
     assert dd.reciprocity.IDENTITIES == specs

@@ -72,6 +72,10 @@ class TestRademacherThreeTerm:
         with pytest.raises(HypothesisError) as exc:
             check_rademacher_three(2, 4, 5)
         assert exc.value.clause == "gcd(a, b) = 1"
+        # pairs are checked in the order (a, b), (b, c), (a, c)
+        with pytest.raises(HypothesisError) as exc:
+            check_rademacher_three(2, 3, 6)
+        assert exc.value.clause == "gcd(b, c) = 1"
         with pytest.raises(HypothesisError):
             check_rademacher_three(3, 5, 10)
 
@@ -444,6 +448,40 @@ class TestGateExactness:
         assert run_case("cor42", {"n": 3, "a": 4, "b": 6,
                                   "x": F(1, 3), "y": F(1, 5)}).passed
         assert run_case("cor45", {"m": 1, "n": 2, "a": 2, "b": 4, "c": 6}).passed
+
+
+def _modulus_violations(spec):
+    """(moduli overrides, clause) for one violation of each modulus rule of ``spec``."""
+    out = []
+    for name in spec.moduli:
+        if spec.signed:
+            out.append(({name: 0}, f"{name} != 0"))
+        else:
+            out += [({name: 0}, f"{name} >= 1"), ({name: -1}, f"{name} >= 1")]
+    if spec.coprime:
+        for u, v in [("a", "b"), ("b", "c"), ("a", "c")]:
+            if v not in spec.moduli:
+                continue
+            # every other pair stays coprime, so the first failing clause is (u, v)
+            overrides = dict.fromkeys(spec.moduli, 1)
+            overrides.update({u: 2, v: 2})
+            out.append((overrides, f"gcd({u}, {v}) = 1"))
+    return out
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+def test_modulus_gates_follow_the_registry(identity):
+    # The gates read IDENTITIES[...].signed/.coprime, the data random_case
+    # samples by; each checker, called directly, names the broken rule.
+    spec = IDENTITIES[identity]
+    base = random_case(identity, random.Random(3))
+    violations = _modulus_violations(spec)
+    assert violations
+    for overrides, clause in violations:
+        with pytest.raises(HypothesisError) as exc:
+            spec.fn(**{**base, **overrides})
+        assert exc.value.clause == clause, (identity, overrides)
+        assert exc.value.identity == identity
 
 
 class TestClearCaches:
