@@ -6,6 +6,10 @@ large moduli in closed form over the stretches where the summand is one
 polynomial), verifies each reciprocity law by computing both sides
 independently and asserting a zero residual, and double-checks the convergent-series facts behind the theory
 with tolerance-bounded floating-point truncations.
+
+Sums and kernel values are memoized in bounded caches; ``clear_caches()``
+drops every one of them and ``cache_stats()`` reports each one's hits,
+misses, size and maxsize.
 """
 
 from .analytic import (
@@ -59,6 +63,8 @@ from .reciprocity import (
     check_thm33,
     check_thm41,
     check_thm44,
+    cache_stats,
+    clear_caches,
     random_case,
     run_case,
 )

@@ -12,11 +12,16 @@ Two purely algebraic lemmas that need no floating point at all are also
 checked here, exactly: a partial-fraction split of 1/((d-x)^m (d-y)^n) and
 a hockey-stick style binomial sum.
 
-Conventions: bilateral sums are truncated symmetrically at |d| <= K, with
-the d and -d terms paired before accumulation so the conditionally
-convergent degree-1 cases telescope; undefined terms (poles) are excluded.
-Accumulation is in ascending index order and reduced with exact float
-summation, so results are bit-reproducible.
+Conventions: bilateral sums are truncated symmetrically at |d| <= K, so the
+conditionally convergent degree-1 cases telescope; undefined terms (poles)
+are excluded.  Every series runs through one core, :func:`_series`: a
+summand's weight depends only on d mod q (the denominator of the phase, 1
+for unit weights), so the weights are tabulated once and each residue class
+mod q is streamed into a single ``math.fsum`` as one stepped range, in O(q)
+memory.  ``fsum`` returns the exact sum of its terms rounded once, and each
+term is the same float operation on the same operands whatever order the
+terms come in, so the results are bit-reproducible and do not depend on
+how the terms are grouped.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from itertools import chain
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
@@ -114,26 +120,62 @@ def _gate_truncation_level(K: int, alpha: Fraction) -> None:
             f"(need K >= {2 * (math.ceil(abs(alpha)) + 1)})")
 
 
+def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int,
+            pole: Optional[int] = None) -> float:
+    """fsum of weights[d % q] / (d + shift) ** power over lo <= d <= hi, d != pole.
+
+    ``q = len(weights)``.  Each residue class mod q is one ``range`` of step
+    q (split at the pole when it falls in that class), and the terms stream
+    straight into ``math.fsum``: no term list, O(q) memory.  Zero terms never
+    change an ``fsum`` result, whatever their sign.
+    """
+    q = len(weights)
+    if pole is not None and not lo <= pole <= hi:
+        pole = None
+    runs = []
+    for c, w in enumerate(weights):
+        first = lo + (c - lo) % q
+        if pole is not None and (pole - c) % q == 0:
+            runs += [(w, range(first, pole, q)), (w, range(pole + q, hi + 1, q))]
+        else:
+            runs.append((w, range(first, hi + 1, q)))
+    return math.fsum(chain.from_iterable(
+        (w / (d + shift) ** power for d in span) for w, span in runs))
+
+
+def _complex_series(weights: Sequence[complex], shift: float, power: int, lo: int, hi: int,
+                    pole: Optional[int] = None) -> complex:
+    """:func:`_series` with complex weights: the real and imaginary parts apart.
+
+    A nonzero part of the complex quotient w / f is that part of w divided
+    by f, bit for bit, and a zero part changes no ``fsum``; so the two real
+    sums equal the parts of a sum of complex terms.
+    """
+    return complex(_series([w.real for w in weights], shift, power, lo, hi, pole),
+                   _series([w.imag for w in weights], shift, power, lo, hi, pole))
+
+
+def _pole(alpha: Fraction) -> Optional[int]:
+    # The d at which d + alpha = 0, when there is one.
+    return -alpha.numerator if alpha.denominator == 1 else None
+
+
 def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
     """Symmetric partial sum of the exponential series for the degree-n kernel.
 
-    Pairs the k and -k terms before accumulating, so the imaginary part
-    vanishes up to rounding for the (real) target.
+    The k and -k terms share one weight, e(kx) + (-1)^n e(-kx), so the
+    imaginary part vanishes up to rounding for the (real) target.  Arguments
+    are admitted as for :func:`fourier_partial`.
     """
+    n, x, K = _admit("fourier", n, x, K)
     if n < 2:
         raise ValueError("absolute convergence requires degree n >= 2")
     if K < 1:
         raise ValueError("truncation level K must be >= 1")
-    x = Fraction(x)
     p, q = x.numerator, x.denominator
     sign = (-1) ** n
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    for k in range(1, K + 1):
-        term = (_cis(k * p, q) + sign * _cis(-k * p, q)) / float(k) ** n
-        re_terms.append(term.real)
-        im_terms.append(term.imag)
-    series = complex(math.fsum(re_terms), math.fsum(im_terms))
+    weights = [_cis(k * p, q) + sign * _cis(-k * p, q) for k in range(q)]
+    series = _complex_series(weights, 0.0, n, 1, K)
     coef = -math.factorial(n) / complex(0.0, _TWO_PI) ** n
     return coef * series
 
@@ -157,34 +199,6 @@ def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
         abs_error=abs_error, tolerance=tolerance,
         passed=abs_error <= tolerance,
     )
-
-
-def _bilateral_power_sum(j: int, alpha: Fraction, x: Optional[Fraction], K: int) -> complex:
-    """Symmetric partial sum of e^(2*pi*i*d*x) / (d + alpha)^j over |d| <= K.
-
-    ``x=None`` means unit weights.  Terms at the pole d = -alpha (possible
-    only for integer alpha) are excluded; d and -d are paired.
-    """
-    af = float(alpha)
-    pole = -alpha if alpha.denominator == 1 else None
-    if x is not None:
-        p, q = x.numerator, x.denominator
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-
-    def add(d: int) -> None:
-        if pole is not None and d == pole:
-            return
-        w = _cis(d * p, q) if x is not None else complex(1.0, 0.0)
-        t = w / (d + af) ** j
-        re_terms.append(t.real)
-        im_terms.append(t.imag)
-
-    add(0)
-    for d in range(1, K + 1):
-        add(d)
-        add(-d)
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
 
 
 def _lemma_reference(j: int, b: int, r: int, x: Optional[Fraction]) -> complex:
@@ -225,7 +239,7 @@ def lemma24_check(j: int, b: int, r: int, K: int) -> TruncationReport:
         raise ValueError("modulus b must be nonzero")
     alpha = Fraction(r, b)
     _gate_truncation_level(K, alpha)
-    approx = _bilateral_power_sum(j, alpha, None, K).real
+    approx = _series([1.0], float(alpha), j, -K, K, _pole(alpha))
     reference = _lemma_reference(j, b, r, None).real
     abs_error = abs(approx - reference)
     tolerance = _tail_bound_unweighted(j, alpha, K) + 1e-12
@@ -253,7 +267,8 @@ def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationRepo
         raise ValueError("modulus b must be nonzero")
     alpha = Fraction(r, b)
     _gate_truncation_level(K, alpha)
-    value = _bilateral_power_sum(j, alpha, x, K)
+    phases = [_cis(c * x.numerator, x.denominator) for c in range(x.denominator)]
+    value = _complex_series(phases, float(alpha), j, -K, K, _pole(alpha))
     reference = _lemma_reference(j, b, r, x)
     abs_error = max(abs(value.real - reference.real), abs(value.imag - reference.imag))
     t = frac(x)
@@ -285,7 +300,7 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
         raise ValueError("j must be >= 1")
     if K < 1:
         raise ValueError("truncation level K must be >= 1")
-    approx = math.fsum(1.0 / float(n) ** (2 * j) for n in range(1, K + 1))
+    approx = _series([1.0], 0.0, 2 * j, 1, K)
     coeff = Fraction((-1) ** (j + 1) * 2 ** (2 * j - 1), math.factorial(2 * j)) \
         * bernoulli_number(2 * j)
     reference = float(coeff) * math.pi ** (2 * j)

@@ -220,12 +220,17 @@ def _csv_header(spec) -> str:
     return ",".join(["identity"] + _columns(spec) + ["lhs", "rhs", "residual", "pass", "counter"])
 
 
+def _csv_cell(v) -> str:
+    # A bool as JSON spells it: set flags and the pass column alike.
+    return str(v).lower() if isinstance(v, bool) else _fmt_value(v)
+
+
 def _csv_row(spec, params: dict, report: IdentityReport | None, clause: str | None) -> str:
-    cells = [spec.name] + [_fmt_value(params[n]) if n in params else "" for n in _columns(spec)]
+    cells = [spec.name] + [_csv_cell(params[n]) if n in params else "" for n in _columns(spec)]
     if report is None:
         return ",".join(cells + ["", "", "", "invalid", ""])
     return ",".join(cells + [format_rational(report.lhs), format_rational(report.rhs),
-                             format_rational(report.residual), str(report.passed).lower(),
+                             format_rational(report.residual), _csv_cell(report.passed),
                              "" if report.counter is None else str(report.counter)])
 
 

@@ -55,8 +55,8 @@ from .sums import (
     carlitz_s,
     classical_s,
     count_ladder,
-    clear_caches as clear_sum_caches,
     hwz_s,
+    memos as sum_memos,
     rademacher_s,
     s_mn_plain,
     s_mn_two,
@@ -86,6 +86,8 @@ __all__ = [
     "check_cor43",
     "check_thm44",
     "check_cor45",
+    "clear_caches",
+    "cache_stats",
 ]
 
 
@@ -691,8 +693,26 @@ def random_case(identity: str, rng) -> dict[str, object]:
     return {name: drawn[name] for name in spec.params}
 
 
+def _memos() -> dict[str, Callable]:
+    return {"reciprocity._inner_pair_sum": _inner_pair_sum, "reciprocity._ipow": _ipow,
+            **sum_memos()}
+
+
 def clear_caches() -> None:
     """Drop every evaluation memo: inner sums, powers, family sums and kernel values."""
-    _inner_pair_sum.cache_clear()
-    _ipow.cache_clear()
-    clear_sum_caches()
+    for memo in _memos().values():
+        memo.cache_clear()
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses, size and maxsize of every evaluation memo, by qualified name.
+
+    The names are those :func:`clear_caches` clears: ``reciprocity.*``,
+    ``sums.*`` and the kernel memo ``bernoulli._poly_at_pair``.
+    """
+    stats = {}
+    for name, memo in _memos().items():
+        info = memo.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses,
+                       "size": info.currsize, "maxsize": info.maxsize}
+    return stats

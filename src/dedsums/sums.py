@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .bernoulli import _bbar_pair, _carlitz_pair, bernoulli_number, bernoulli_poly, clear_eval_cache
+from .bernoulli import _bbar_pair, _carlitz_pair, _poly_at_pair, bernoulli_number, bernoulli_poly
 from .exact import floor_frac, format_rational
 from .params import Params, coerce, declare, lookup
 
@@ -441,8 +441,13 @@ class SumRequest:
                    shifts=tuple(v[n] for n in spec.shifts))
 
 
+def memos() -> dict[str, Callable]:
+    """Every memo of this layer and the kernel memo below it, by qualified name."""
+    return {**{f"sums.{spec.fn.__name__}": spec.fn for spec in SUM_FAMILIES.values()},
+            "sums.count_ladder": count_ladder, "bernoulli._poly_at_pair": _poly_at_pair}
+
+
 def clear_caches() -> None:
     """Drop all memoized sum values and kernel evaluations (bounds memory in long sweeps)."""
-    for fn in (*(spec.fn for spec in SUM_FAMILIES.values()), count_ladder):
-        fn.cache_clear()
-    clear_eval_cache()
+    for memo in memos().values():
+        memo.cache_clear()

@@ -5,10 +5,17 @@ polynomials come from the Worpitzky double sum instead of the recurrence,
 kernels are branched by hand, lattice counts enumerate triples directly,
 and sums are literal loops over these local pieces.  Agreement between the
 two routes is the evidence the tests are after.
+
+The float series at the end are the literal term-by-term loops the
+truncation checks once ran: one ``cmath.exp`` phase per term, the terms in
+index order in two lists, each reduced by ``math.fsum``.  They are the
+reference for the bits of the streamed series core.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from math import comb, gcd
 
@@ -104,3 +111,59 @@ def ladder_count_oracle(a: int, b: int, c: int,
 
     common = ratios(a, x) & ratios(b, y) & ratios(c, z)
     return len(common)
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _phase(num: int, den: int) -> complex:
+    # exp(2 pi i num/den), the argument reduced mod 1 exactly first
+    if den < 0:
+        num, den = -num, -den
+    return cmath.exp(complex(0.0, _TWO_PI * ((num % den) / den)))
+
+
+def fourier_series_oracle(n: int, x: Fraction, K: int) -> complex:
+    """-n!/(2 pi i)^n times the sum over 1 <= k <= K of (e(kx) + (-1)^n e(-kx)) / k^n."""
+    p, q = x.numerator, x.denominator
+    sign = (-1) ** n
+    re_terms: list[float] = []
+    im_terms: list[float] = []
+    for k in range(1, K + 1):
+        term = (_phase(k * p, q) + sign * _phase(-k * p, q)) / float(k) ** n
+        re_terms.append(term.real)
+        im_terms.append(term.imag)
+    series = complex(math.fsum(re_terms), math.fsum(im_terms))
+    coef = -math.factorial(n) / complex(0.0, _TWO_PI) ** n
+    return coef * series
+
+
+def bilateral_oracle(j: int, alpha: Fraction, x, K: int) -> complex:
+    """Sum over |d| <= K of e(dx) / (d + alpha)^j, unit weights for ``x=None``.
+
+    The pole d = -alpha (integer alpha only) is left out; d and -d are
+    added one after the other.
+    """
+    af = float(alpha)
+    pole = -alpha if alpha.denominator == 1 else None
+    re_terms: list[float] = []
+    im_terms: list[float] = []
+
+    def add(d: int) -> None:
+        if pole is not None and d == pole:
+            return
+        w = _phase(d * x.numerator, x.denominator) if x is not None else complex(1.0, 0.0)
+        t = w / (d + af) ** j
+        re_terms.append(t.real)
+        im_terms.append(t.imag)
+
+    add(0)
+    for d in range(1, K + 1):
+        add(d)
+        add(-d)
+    return complex(math.fsum(re_terms), math.fsum(im_terms))
+
+
+def zeta_partial_oracle(j: int, K: int) -> float:
+    """The sum over 1 <= k <= K of k^(-2j)."""
+    return math.fsum(1.0 / float(k) ** (2 * j) for k in range(1, K + 1))

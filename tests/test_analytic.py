@@ -2,11 +2,16 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dedsums import analytic
 from dedsums.analytic import (
+    ANALYTIC_TARGETS,
     fourier_partial,
     fourier_partial_complex,
     lemma22_exact,
@@ -16,6 +21,7 @@ from dedsums.analytic import (
     zeta_even_check,
 )
 from dedsums.bernoulli import bernoulli_number
+from oracles import bilateral_oracle, fourier_series_oracle, zeta_partial_oracle
 
 F = Fraction
 
@@ -190,6 +196,104 @@ class TestConvergenceEvidence:
             e1 = mk(500).abs_error
             e4 = mk(2000).abs_error
             assert e4 <= 2 * e1 + 1e-14
+
+
+def _bits(value) -> list:
+    """float.hex and the sign of every part: equal lists mean equal bits."""
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    parts = value if isinstance(value, tuple) else (value,)
+    return [(v.hex(), math.copysign(1.0, v)) for v in parts]
+
+
+# The approximation each report carries, by the literal loops the core replaced.
+_ORACLE_APPROX = {
+    "fourier": lambda n, x, K: fourier_series_oracle(n, x, K).real,
+    "lemma24": lambda j, b, r, K: bilateral_oracle(j, F(r, b), None, K).real,
+    "lemma27": lambda j, b, r, x, K: bilateral_oracle(j, F(r, b), x, K),
+    "zeta-even": zeta_partial_oracle,
+}
+
+
+def _assert_same_approx(target: str, args: tuple) -> None:
+    approx = ANALYTIC_TARGETS[target].fn(*args).approx
+    assert _bits(approx) == _bits(_ORACLE_APPROX[target](*args)), (target, args)
+
+
+def _assert_same_bits(j: int, b: int, r: int, x: Fraction, K: int) -> None:
+    # Every series of the four checks against the oracle loops.  The lemma
+    # checks need K past the pole at -r/b; fourier and zeta_even take any K.
+    KL = max(K, 2 * (math.ceil(abs(F(r, b))) + 1))
+    for target, args in (("lemma24", (j, b, r, KL)), ("lemma27", (j, b, r, x, KL)),
+                         ("fourier", (j + 1, x, K)), ("zeta-even", (j, K))):
+        _assert_same_approx(target, args)
+    assert _bits(fourier_partial_complex(j + 1, x, K)) == \
+        _bits(fourier_series_oracle(j + 1, x, K))
+
+
+class TestStreamedSeriesBits:
+    """The streamed core against the term lists it replaced, bit for bit."""
+
+    @given(j=st.integers(1, 6),
+           b=st.sampled_from([*range(-12, 0), *range(1, 13)]),
+           r=st.integers(-30, 30),
+           x=st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+           K=st.integers(1, 3000))
+    @settings(max_examples=120, deadline=None)
+    def test_random_draws(self, j, b, r, x, K):
+        _assert_same_bits(j, b, r, x, K)
+
+    @pytest.mark.parametrize("j,b,r,x,K", [
+        (1, 1, 0, F(0), 1),            # pole at d = 0, one residue class
+        (2, -1, 7, F(3), 16),          # pole at d = 7, integer x
+        (2, 3, 6, F(1, 7), 100),       # pole at d = -2 inside one of seven classes
+        (3, 4, 8, F(5), 2999),         # odd power, pole at d = -2
+        (6, 12, -30, F(-7, 12), 64),   # highest order, alpha = -5/2, twelve classes
+    ])
+    def test_edge_draws(self, j, b, r, x, K):
+        _assert_same_bits(j, b, r, x, K)
+
+    @pytest.mark.parametrize("target,args", [
+        ("fourier", (2, F(-7, 9), 10_000)),
+        ("fourier", (3, F(5, 8), 200_000)),
+        ("lemma24", (2, 9, -4, 20_000)),
+        ("lemma24", (2, 7, 5, 200_000)),
+        ("lemma27", (2, 8, 3, F(-5, 9), 50_000)),
+        ("lemma27", (2, 5, -3, F(2, 7), 250_000)),
+        ("zeta-even", (1, 1_000_000)),
+    ])
+    def test_benchmark_shapes_at_full_K(self, target, args):
+        # The shapes of the analytic-tails workload, at its largest K.
+        _assert_same_approx(target, args)
+
+    @pytest.mark.parametrize("lo,hi,pole", [
+        (-5, 5, 0), (-5, 5, -5), (-5, 5, 5), (-5, 5, 6), (-5, 5, -9), (-5, 5, None),
+        (3, 3, 3), (3, 3, None), (4, 3, None), (-17, 11, 2),
+    ])
+    def test_core_window(self, lo, hi, pole):
+        # The core's contract on windows the checks never ask for: the pole
+        # at an end of the window, outside it, or an empty window.
+        weights = [0.5, -1.25, 3.0, -0.0, 2.0]
+        want = math.fsum(weights[d % 5] / (d + 0.375) ** 3
+                         for d in range(lo, hi + 1) if d != pole)
+        got = analytic._series(weights, 0.375, 3, lo, hi, pole)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("check,args", [
+    (lemma27_check, (2, 8, 3, F(-5, 9), 250_000)),
+    (lemma24_check, (2, 9, -4, 200_000)),
+    (fourier_partial, (2, F(5, 8), 200_000)),
+])
+def test_series_memory_is_bounded(check, args):
+    # Term lists of 2K+1 floats would peak at 13-32 MB here.
+    tracemalloc.start()
+    try:
+        check(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 class TestExactLemmas:

@@ -4,9 +4,11 @@
 a valid input that has one defect: a float, a bool, a junk string, ``None``
 or a list in place of a value, a missing or unknown name, a non-bool flag,
 or an unknown tag.  The four registered analytic checks, called directly,
-get one bad value in place of a valid argument.  The only allowed outcomes are ``ValueError`` (which
-``HypothesisError`` subclasses) and, on the command line, exit code 2.  A
-report, a value or any other exception fails the test.
+get one bad value in place of a valid argument, and so does
+``fourier_partial_complex``, which admits the arguments of ``fourier``.
+The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
+subclasses) and, on the command line, exit code 2.  A report, a value or
+any other exception fails the test.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsums import cli
-from dedsums.analytic import ANALYTIC_TARGETS
+from dedsums.analytic import ANALYTIC_TARGETS, fourier_partial_complex
 from dedsums.exact import parse_rational
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import SUM_FAMILIES, SumRequest
@@ -133,8 +135,8 @@ _ANALYTIC_VALID = {
 
 
 @st.composite
-def analytic_calls(draw):
-    tag = draw(st.sampled_from(sorted(ANALYTIC_TARGETS)))
+def analytic_calls(draw, tags=tuple(sorted(ANALYTIC_TARGETS))):
+    tag = draw(st.sampled_from(tags))
     spec = ANALYTIC_TARGETS[tag]
     values = dict(_ANALYTIC_VALID[tag])
     name = draw(st.sampled_from(sorted(spec.params)))
@@ -154,6 +156,21 @@ def test_analytic_checks_reject_every_bad_value(call):
     fn, values = call
     with pytest.raises(ValueError):
         fn(*values.values())
+
+
+@given(analytic_calls(("fourier",)))
+@settings(max_examples=100, deadline=None)
+def test_fourier_partial_complex_rejects_every_bad_value(call):
+    _, values = call
+    with pytest.raises(ValueError):
+        fourier_partial_complex(*values.values())
+
+
+def test_fourier_partial_complex_takes_no_float():
+    # 0.1 is not 1/10 but its binary value, 3602879701896397/2^55.
+    with pytest.raises(ValueError):
+        fourier_partial_complex(2, 0.1, 50)
+    assert fourier_partial_complex(2, "1/10", 50) == fourier_partial_complex(2, Fraction(1, 10), 50)
 
 
 # subcommand -> the registry its parsers are built from

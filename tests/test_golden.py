@@ -13,7 +13,9 @@ cases, ``--help`` of every parser, and usage errors.
 
 Both files were recorded from the code before the parameter registries
 drove the sampler and the command line (the reports before the product and
-three-modulus laws shared one binomial-side helper), and must keep matching.  To record
+three-modulus laws shared one binomial-side helper), and must keep matching.
+The four CSV records with a set ``--dieter`` flag were recorded again when
+CSV cells began to spell a set flag ``true``, as the ``pass`` cell does.  To record
 them again (only when an output is meant to change), run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """

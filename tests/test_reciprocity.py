@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import dedsums
 import oracles
 from dedsums import bernoulli as bern_mod
 from dedsums import reciprocity as rec_mod
@@ -511,3 +512,28 @@ class TestClearCaches:
 
     def test_kernel_memo_is_bounded(self):
         assert bern_mod._poly_at_pair.cache_info().maxsize == 1 << 16
+
+    def test_package_clear_and_stats_cover_every_memo(self):
+        memos = {"reciprocity._inner_pair_sum": rec_mod._inner_pair_sum,
+                 "reciprocity._ipow": rec_mod._ipow,
+                 "sums.count_ladder": sums_mod.count_ladder,
+                 "bernoulli._poly_at_pair": bern_mod._poly_at_pair,
+                 **{f"sums.{spec.fn.__name__}": spec.fn
+                    for spec in sums_mod.SUM_FAMILIES.values()}}
+        dedsums.clear_caches()
+        case = {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
+                "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)}
+        run_case("thm41", case)
+        run_case("thm41", case)
+        stats = dedsums.cache_stats()
+        assert sorted(stats) == sorted(memos)
+        for name, memo in memos.items():
+            info = memo.cache_info()
+            assert stats[name] == {"hits": info.hits, "misses": info.misses,
+                                   "size": info.currsize, "maxsize": info.maxsize}, name
+        # the second run finds every lattice sum of the first in the memo
+        assert stats["sums.hwz_s"]["hits"] > 0
+        assert stats["sums.hwz_s"]["size"] == stats["sums.hwz_s"]["misses"] > 0
+        assert all(s["maxsize"] is not None for s in stats.values())
+        dedsums.clear_caches()
+        assert all(s["size"] == 0 for s in dedsums.cache_stats().values())
