@@ -16,12 +16,13 @@ Conventions: bilateral sums are truncated symmetrically at |d| <= K, so the
 conditionally convergent degree-1 cases telescope; undefined terms (poles)
 are excluded.  Every series runs through one core, :func:`_series`: a
 summand's weight depends only on d mod q (the denominator of the phase, 1
-for unit weights), so the weights are tabulated once and each residue class
-mod q is streamed into a single ``math.fsum`` as one stepped range, in O(q)
-memory.  ``fsum`` returns the exact sum of its terms rounded once, and each
-term is the same float operation on the same operands whatever order the
-terms come in, so the results are bit-reproducible and do not depend on
-how the terms are grouped.
+for unit weights), so the weights of the residues the window reaches are
+tabulated once (at most min(q, window length) of them) and each residue
+class is streamed into a single ``math.fsum`` as one stepped range, in
+O(min(q, K)) memory.  ``fsum`` returns the exact sum of its terms rounded
+once, and each term is the same float operation on the same operands
+whatever order the terms come in, so the results are bit-reproducible and
+do not depend on how the terms are grouped.
 """
 
 from __future__ import annotations
@@ -120,25 +121,36 @@ def _gate_truncation_level(K: int, alpha: Fraction) -> None:
             f"(need K >= {2 * (math.ceil(abs(alpha)) + 1)})")
 
 
+def _window_weights(weight: Callable[[int], complex], q: int, lo: int,
+                    hi: int) -> list:
+    """weight(d) for d = lo, lo + 1, ... over one period q, cut to the window.
+
+    ``weight(d)`` depends only on d mod q.  A window [lo, hi] shorter than q
+    meets each residue at most once, so only the residues it reaches are
+    tabulated: the table never outgrows the window, however large q is.
+    """
+    return [weight(d) for d in range(lo, lo + min(q, hi - lo + 1))]
+
+
 def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int,
             pole: Optional[int] = None) -> float:
-    """fsum of weights[d % q] / (d + shift) ** power over lo <= d <= hi, d != pole.
+    """fsum of weights[(d - lo) % m] / (d + shift) ** power over lo <= d <= hi, d != pole.
 
-    ``q = len(weights)``.  Each residue class mod q is one ``range`` of step
-    q (split at the pole when it falls in that class), and the terms stream
-    straight into ``math.fsum``: no term list, O(q) memory.  Zero terms never
-    change an ``fsum`` result, whatever their sign.
+    ``m = len(weights)``, as built by :func:`_window_weights`.  Each residue
+    class mod m is one ``range`` of step m (split at the pole when it falls
+    in that class), and the terms stream straight into ``math.fsum``: no
+    term list, O(m) memory.  Zero terms never change an ``fsum`` result,
+    whatever their sign.
     """
-    q = len(weights)
+    m = len(weights)
     if pole is not None and not lo <= pole <= hi:
         pole = None
     runs = []
-    for c, w in enumerate(weights):
-        first = lo + (c - lo) % q
-        if pole is not None and (pole - c) % q == 0:
-            runs += [(w, range(first, pole, q)), (w, range(pole + q, hi + 1, q))]
+    for i, w in enumerate(weights):
+        if pole is not None and (pole - lo) % m == i:
+            runs += [(w, range(lo + i, pole, m)), (w, range(pole + m, hi + 1, m))]
         else:
-            runs.append((w, range(first, hi + 1, q)))
+            runs.append((w, range(lo + i, hi + 1, m)))
     return math.fsum(chain.from_iterable(
         (w / (d + shift) ** power for d in span) for w, span in runs))
 
@@ -160,6 +172,20 @@ def _pole(alpha: Fraction) -> Optional[int]:
     return -alpha.numerator if alpha.denominator == 1 else None
 
 
+def _fourier_series(n: int, x: Fraction, K: int) -> complex:
+    # The partial sum of fourier_partial_complex, on admitted arguments.
+    if n < 2:
+        raise ValueError("absolute convergence requires degree n >= 2")
+    if K < 1:
+        raise ValueError("truncation level K must be >= 1")
+    p, q = x.numerator, x.denominator
+    sign = (-1) ** n
+    weights = _window_weights(lambda k: _cis(k * p, q) + sign * _cis(-k * p, q), q, 1, K)
+    series = _complex_series(weights, 0.0, n, 1, K)
+    coef = -math.factorial(n) / complex(0.0, _TWO_PI) ** n
+    return coef * series
+
+
 def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
     """Symmetric partial sum of the exponential series for the degree-n kernel.
 
@@ -167,17 +193,7 @@ def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
     imaginary part vanishes up to rounding for the (real) target.  Arguments
     are admitted as for :func:`fourier_partial`.
     """
-    n, x, K = _admit("fourier", n, x, K)
-    if n < 2:
-        raise ValueError("absolute convergence requires degree n >= 2")
-    if K < 1:
-        raise ValueError("truncation level K must be >= 1")
-    p, q = x.numerator, x.denominator
-    sign = (-1) ** n
-    weights = [_cis(k * p, q) + sign * _cis(-k * p, q) for k in range(q)]
-    series = _complex_series(weights, 0.0, n, 1, K)
-    coef = -math.factorial(n) / complex(0.0, _TWO_PI) ** n
-    return coef * series
+    return _fourier_series(*_admit("fourier", n, x, K))
 
 
 def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
@@ -187,7 +203,7 @@ def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
                        <= 2*n!/((2*pi)^n (n-1)) * K^(1-n).
     """
     n, x, K = _admit("fourier", n, x, K)
-    value = fourier_partial_complex(n, x, K)
+    value = _fourier_series(n, x, K)
     approx = value.real
     reference = float(bernoulli_function(n, x))
     abs_error = abs(approx - reference)
@@ -267,7 +283,8 @@ def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationRepo
         raise ValueError("modulus b must be nonzero")
     alpha = Fraction(r, b)
     _gate_truncation_level(K, alpha)
-    phases = [_cis(c * x.numerator, x.denominator) for c in range(x.denominator)]
+    p, q = x.numerator, x.denominator
+    phases = _window_weights(lambda d: _cis(d * p, q), q, -K, K)
     value = _complex_series(phases, float(alpha), j, -K, K, _pole(alpha))
     reference = _lemma_reference(j, b, r, x)
     abs_error = max(abs(value.real - reference.real), abs(value.imag - reference.imag))

@@ -249,6 +249,8 @@ class TestStreamedSeriesBits:
         (2, 3, 6, F(1, 7), 100),       # pole at d = -2 inside one of seven classes
         (3, 4, 8, F(5), 2999),         # odd power, pole at d = -2
         (6, 12, -30, F(-7, 12), 64),   # highest order, alpha = -5/2, twelve classes
+        (1, 3, 1, F(1, 10**9), 20),    # q far past K: one weight per index
+        (2, -4, 8, F(-999_999_937, 10**9 + 7), 25),   # the same, pole at d = 2
     ])
     def test_edge_draws(self, j, b, r, x, K):
         _assert_same_bits(j, b, r, x, K)
@@ -274,19 +276,34 @@ class TestStreamedSeriesBits:
         # The core's contract on windows the checks never ask for: the pole
         # at an end of the window, outside it, or an empty window.
         weights = [0.5, -1.25, 3.0, -0.0, 2.0]
-        want = math.fsum(weights[d % 5] / (d + 0.375) ** 3
+        want = math.fsum(weights[(d - lo) % 5] / (d + 0.375) ** 3
                          for d in range(lo, hi + 1) if d != pole)
         got = analytic._series(weights, 0.375, 3, lo, hi, pole)
         assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("lo,hi,pole", [
+        (1, 3, None), (-2, 2, 0), (-2, 2, 2), (4, 3, None),
+    ])
+    def test_core_window_shorter_than_the_period(self, lo, hi, pole):
+        # A window shorter than q gets one weight per index, from lo on.
+        q = 10**9
+        weights = analytic._window_weights(lambda d: float(d % q), q, lo, hi)
+        assert len(weights) == max(0, hi - lo + 1)
+        want = math.fsum(float(d % q) / (d + 0.375) ** 3
+                         for d in range(lo, hi + 1) if d != pole)
+        assert _bits(analytic._series(weights, 0.375, 3, lo, hi, pole)) == _bits(want)
 
 
 @pytest.mark.parametrize("check,args", [
     (lemma27_check, (2, 8, 3, F(-5, 9), 250_000)),
     (lemma24_check, (2, 9, -4, 200_000)),
     (fourier_partial, (2, F(5, 8), 200_000)),
+    (fourier_partial, (2, F(1, 10**9), 10)),
+    (lemma27_check, (2, 3, 1, F(1, 10**9), 20)),
 ])
 def test_series_memory_is_bounded(check, args):
-    # Term lists of 2K+1 floats would peak at 13-32 MB here.
+    # Term lists of 2K+1 floats would peak at 13-32 MB in the first three,
+    # and a weight table of one period at gigabytes in the last two.
     tracemalloc.start()
     try:
         check(*args)
