@@ -6,14 +6,18 @@ value types and values, and 64 bits drawn after the twenty cases, which pins
 how much of the stream the draws consumed.  It also holds the
 ``run_case(...).to_json()`` report of the first four draws of each stream
 (320 reports, signed moduli included), which pins every checker's lhs, rhs,
-residual and counter bytes.  ``golden/cli.json`` holds the
+residual and counter bytes.  ``golden/analytic.json`` holds a seeded grid
+of truncation reports (the four checks, integer poles and integer points
+included) and ``fourier_partial_complex`` values, every float as
+``float.hex``.  ``golden/cli.json`` holds the
 stdout, stderr and exit code of ``cli.main`` on a fixed command list: every
 subcommand in every ``--format``, grid and seeded-random sweeps, invalid
 cases, ``--help`` of every parser, and usage errors.
 
 Both files were recorded from the code before the parameter registries
 drove the sampler and the command line (the reports before the product and
-three-modulus laws shared one binomial-side helper), and must keep matching.
+three-modulus laws shared one binomial-side helper; the truncation reports
+before Lemmas 2.4 and 2.7 shared one core), and must keep matching.
 The four CSV records with a set ``--dieter`` flag were recorded again when
 CSV cells began to spell a set flag ``true``, as the ``pass`` cell does.  To record
 them again (only when an output is meant to change), run
@@ -23,13 +27,16 @@ them again (only when an output is meant to change), run
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from dedsums import cli
+from dedsums.analytic import ANALYTIC_TARGETS, fourier_partial_complex
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -37,6 +44,8 @@ SEEDS = range(5)
 DRAWS = 20
 REPORTS = 4
 COLUMNS = "80"
+ANALYTIC_SEED = 11
+ANALYTIC_DRAWS = 40
 
 _FAMILY_ARGS = {
     "classical": "-a 2 -b 3",
@@ -156,6 +165,55 @@ def draw_cases() -> dict:
     return out
 
 
+def _point(rng: random.Random) -> Fraction:
+    # An integer one time in four, else a denominator of 1-12.
+    den = 1 if rng.random() < 0.25 else rng.randint(1, 12)
+    return Fraction(rng.randint(-30, 30), den)
+
+
+def analytic_calls() -> list:
+    """(tag, args) of every pinned analytic call, drawn from one seeded stream."""
+    rng = random.Random(ANALYTIC_SEED)
+    calls = []
+    for _ in range(ANALYTIC_DRAWS):
+        j, b = rng.randint(1, 6), rng.choice([*range(-12, 0), *range(1, 13)])
+        # An integer alpha = r/b, a pole inside the window, one time in four.
+        r = b * rng.randint(-3, 3) if rng.random() < 0.25 else rng.randint(-30, 30)
+        gate = 2 * (math.ceil(abs(Fraction(r, b))) + 1)
+        K = rng.randint(gate, gate + 300)
+        calls += [("lemma24", (j, b, r, K)),
+                  ("lemma27", (j, b, r, _point(rng), K)),
+                  ("fourier", (rng.randint(2, 6), _point(rng), rng.randint(1, 300))),
+                  ("fourier-complex", (rng.randint(2, 6), _point(rng), rng.randint(1, 300))),
+                  ("zeta-even", (j, rng.randint(1, 500)))]
+    return calls
+
+
+def _hex(value):
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    if isinstance(value, tuple):
+        return [v.hex() for v in value]
+    return value.hex()
+
+
+def analytic_reports() -> list:
+    """[{"call": [tag, args...], "report" or "value": fields with floats as hex}]"""
+    out = []
+    for tag, args in analytic_calls():
+        record = {"call": [tag, *map(str, args)]}
+        if tag == "fourier-complex":
+            record["value"] = _hex(fourier_partial_complex(*args))
+        else:
+            report = ANALYTIC_TARGETS[tag].fn(*args)
+            data = report.to_json_dict()
+            for field in ("approx", "reference", "abs_error", "tolerance"):
+                data[field] = _hex(getattr(report, field))
+            record["report"] = data
+        out.append(record)
+    return out
+
+
 def _load(name: str):
     with open(os.path.join(GOLDEN, name)) as fh:
         return json.load(fh)
@@ -165,6 +223,13 @@ def test_random_case_streams_match_golden():
     golden = _load("random_cases.json")
     assert list(golden) == list(IDENTITIES)
     assert draw_cases() == golden
+
+
+def test_analytic_report_bits_match_golden():
+    golden = _load("analytic.json")
+    if golden["python"] != list(sys.version_info[:2]):
+        pytest.skip(f"float bits recorded under Python {golden['python']}")
+    assert analytic_reports() == golden["reports"]
 
 
 @pytest.fixture
@@ -197,6 +262,10 @@ def _record() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     with open(os.path.join(GOLDEN, "random_cases.json"), "w") as fh:
         json.dump(draw_cases(), fh, indent=1)
+        fh.write("\n")
+    with open(os.path.join(GOLDEN, "analytic.json"), "w") as fh:
+        json.dump({"python": list(sys.version_info[:2]), "reports": analytic_reports()},
+                  fh, indent=1)
         fh.write("\n")
     records = [run_main(argv) for argv in command_list()]
     with open(os.path.join(GOLDEN, "cli.json"), "w") as fh:
