@@ -22,7 +22,11 @@ class is streamed into a single ``math.fsum`` as one stepped range, in
 O(min(q, K)) memory.  ``fsum`` returns the exact sum of its terms rounded
 once, and each term is the same float operation on the same operands
 whatever order the terms come in, so the results are bit-reproducible and
-do not depend on how the terms are grouped.
+do not depend on how the terms are grouped.  Lemmas 2.4 and 2.7 share one
+core, :func:`_bilateral` (Lemma 2.4 is its x = 0 case), for their gates,
+reference and tolerance.  One constructor, :func:`_report`, sets every
+verdict, and a check's tolerance is final there.  An order whose float
+powers leave the double range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -37,7 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
-from .params import Params, coerce
+from .params import Params, coerce, declare
 
 __all__ = [
     "TruncationReport",
@@ -96,11 +101,38 @@ class TruncationReport:
         return json.dumps(self.to_json_dict())
 
 
+def _report(target: str, params: tuple, K: int, approx: Union[float, complex],
+            reference: Union[float, complex], tolerance: float) -> TruncationReport:
+    """The one place a verdict is set, and where a check's tolerance is final.
+
+    A complex value is kept as its ``(re, im)`` parts, and ``abs_error`` is
+    the largest difference between components.
+    """
+    if isinstance(approx, complex):
+        approx, reference = (approx.real, approx.imag), (reference.real, reference.imag)
+        abs_error = max(abs(a - r) for a, r in zip(approx, reference))
+    else:
+        abs_error = abs(approx - reference)
+    return TruncationReport(target, params, K, approx, reference, abs_error, tolerance,
+                            abs_error <= tolerance)
+
+
 def _admit(tag: str, *args) -> tuple:
-    # The arguments of one registered check, admitted by the strict coercer
-    # under its ANALYTIC_TARGETS declaration: no float, bool or junk string.
-    params = ANALYTIC_TARGETS[tag].params
+    # The arguments of one check, admitted by the strict coercer under its
+    # declaration: no float, bool or junk string.
+    params = ANALYTIC_TARGETS[tag].params if tag in ANALYTIC_TARGETS else _EXACT_PARAMS[tag]
     return tuple(coerce(tag, params, dict(zip(params, args))).values())
+
+
+@contextmanager
+def _in_double_range(name: str, order: int):
+    # A float power of the series or of the reference that leaves the double
+    # range raises OverflowError, or ZeroDivisionError once it underflows to
+    # zero and is divided by; either becomes one ValueError naming the order.
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"order {name}={order} is beyond double precision") from None
 
 
 def _cis(num: int, den: int) -> complex:
@@ -110,15 +142,9 @@ def _cis(num: int, den: int) -> complex:
     return cmath.exp(complex(0.0, _TWO_PI * ((num % den) / den)))
 
 
-def _gate_truncation_level(K: int, alpha: Fraction) -> None:
-    # The documented tail bounds assume the truncation window clears the
-    # pole at -alpha with room to spare.
+def _gate_level(K: int) -> None:
     if K < 1:
         raise ValueError("truncation level K must be >= 1")
-    if K < 2 * (math.ceil(abs(alpha)) + 1):
-        raise ValueError(
-            f"truncation level K={K} too small for pole at {-alpha} "
-            f"(need K >= {2 * (math.ceil(abs(alpha)) + 1)})")
 
 
 def _window_weights(weight: Callable[[int], complex], q: int, lo: int,
@@ -176,8 +202,7 @@ def _fourier_series(n: int, x: Fraction, K: int) -> complex:
     # The partial sum of fourier_partial_complex, on admitted arguments.
     if n < 2:
         raise ValueError("absolute convergence requires degree n >= 2")
-    if K < 1:
-        raise ValueError("truncation level K must be >= 1")
+    _gate_level(K)
     p, q = x.numerator, x.denominator
     sign = (-1) ** n
     weights = _window_weights(lambda k: _cis(k * p, q) + sign * _cis(-k * p, q), q, 1, K)
@@ -193,7 +218,9 @@ def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
     imaginary part vanishes up to rounding for the (real) target.  Arguments
     are admitted as for :func:`fourier_partial`.
     """
-    return _fourier_series(*_admit("fourier", n, x, K))
+    n, x, K = _admit("fourier", n, x, K)
+    with _in_double_range("n", n):
+        return _fourier_series(n, x, K)
 
 
 def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
@@ -203,108 +230,78 @@ def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
                        <= 2*n!/((2*pi)^n (n-1)) * K^(1-n).
     """
     n, x, K = _admit("fourier", n, x, K)
-    value = _fourier_series(n, x, K)
-    approx = value.real
-    reference = float(bernoulli_function(n, x))
-    abs_error = abs(approx - reference)
-    tolerance = 2.0 * math.factorial(n) / (_TWO_PI ** n * (n - 1)) * K ** (1 - n)
-    return TruncationReport(
-        target="fourier",
-        params=(("n", n), ("x", x)),
-        K=K, approx=approx, reference=reference,
-        abs_error=abs_error, tolerance=tolerance,
-        passed=abs_error <= tolerance,
-    )
+    with _in_double_range("n", n):
+        approx = _fourier_series(n, x, K).real
+        reference = float(bernoulli_function(n, x))
+        tolerance = 2.0 * math.factorial(n) / (_TWO_PI ** n * (n - 1)) * K ** (1 - n)
+    return _report("fourier", (("n", n), ("x", x)), K, approx, reference, tolerance)
 
 
-def _lemma_reference(j: int, b: int, r: int, x: Optional[Fraction]) -> complex:
+def _lemma_reference(j: int, b: int, r: int, x: Fraction) -> complex:
     """Exact-derived closed form: phase-weighted kernel values over l = 1..|b|."""
     rat = Fraction(sgn(b) * (-1) ** (j - 1), math.factorial(j)) * Fraction(b) ** (j - 1)
     coef = float(rat) * complex(0.0, _TWO_PI) ** j
     acc = complex(0.0, 0.0)
-    if x is None:
-        for l in range(1, abs(b) + 1):
-            acc += _cis(l * r, b) * float(bernoulli_function(j, Fraction(l, b)))
-    else:
-        p, q = x.numerator, x.denominator
-        for l in range(1, abs(b) + 1):
-            acc += _cis((l * q - p) * r, q * b) * \
-                float(bernoulli_function(j, (l - x) / b))
+    p, q = x.numerator, x.denominator
+    for l in range(1, abs(b) + 1):
+        acc += _cis((l * q - p) * r, q * b) * float(bernoulli_function(j, (l - x) / b))
     return coef * acc
 
 
-def _tail_bound_unweighted(j: int, alpha: Fraction, K: int) -> float:
-    """Tail bound for sum of 1/(d+alpha)^j beyond |d| = K (K past the pole).
+def _bilateral(j: int, b: int, r: int, x: Fraction, K: int) -> tuple:
+    """Lemmas 2.4 (x = 0) and 2.7 up to their series: shift, pole, reference, tolerance.
 
-    j = 1: pairing leaves sum_{d>K} 2*alpha/(alpha^2 - d^2); bounded by
-    4(|alpha|+1)/K (covers the integer-alpha shifted-harmonic case too).
-    j >= 2: two-sided integral bound 2*(K-|alpha|)^(1-j)/(j-1).
+    The series is the sum over |d| <= K, d != pole, of e(dx) / (d + alpha)^j
+    with alpha = r/b, and the tolerance bounds its tail beyond |d| = K (K past
+    the pole), plus 1e-12:
+    - j = 1, fractional x: Abel summation bounds each one-sided tail by
+      2/(|sin(pi x)| (K+1-|alpha|)), giving 8/(|sin(pi x)| K) after pairing;
+    - j = 1, integer x: pairing leaves sum_{d>K} 2*alpha/(alpha^2 - d^2),
+      bounded by 4(|alpha|+1)/K (the integer-alpha shifted-harmonic case too);
+    - j >= 2: the two-sided integral bound 2*(K-|alpha|)^(1-j)/(j-1).
     """
-    a = abs(float(alpha))
+    if j < 1:
+        raise ValueError("power j must be >= 1")
+    if b == 0:
+        raise ValueError("modulus b must be nonzero")
+    alpha = Fraction(r, b)
+    _gate_level(K)
+    # The tail bounds assume the window clears the pole with room to spare.
+    need = 2 * (math.ceil(abs(alpha)) + 1)
+    if K < need:
+        raise ValueError(f"truncation level K={K} too small for pole at {-alpha} "
+                         f"(need K >= {need})")
+    a, t = abs(float(alpha)), frac(x)
     if j == 1:
-        return 4.0 * (a + 1.0) / K
-    return 2.0 * (K - a) ** (1 - j) / (j - 1)
+        tail = 8.0 / (math.sin(math.pi * float(t)) * K) if t else 4.0 * (a + 1.0) / K
+    else:
+        tail = 2.0 * (K - a) ** (1 - j) / (j - 1)
+    return float(alpha), _pole(alpha), _lemma_reference(j, b, r, x), tail + 1e-12
 
 
 def lemma24_check(j: int, b: int, r: int, K: int) -> TruncationReport:
     """Check the unweighted bilateral power sum against its closed form."""
     j, b, r, K = _admit("lemma24", j, b, r, K)
-    if j < 1:
-        raise ValueError("power j must be >= 1")
-    if b == 0:
-        raise ValueError("modulus b must be nonzero")
-    alpha = Fraction(r, b)
-    _gate_truncation_level(K, alpha)
-    approx = _series([1.0], float(alpha), j, -K, K, _pole(alpha))
-    reference = _lemma_reference(j, b, r, None).real
-    abs_error = abs(approx - reference)
-    tolerance = _tail_bound_unweighted(j, alpha, K) + 1e-12
-    return TruncationReport(
-        target="lemma24",
-        params=(("j", j), ("b", b), ("r", r)),
-        K=K, approx=approx, reference=reference,
-        abs_error=abs_error, tolerance=tolerance,
-        passed=abs_error <= tolerance,
-    )
+    with _in_double_range("j", j):
+        shift, pole, reference, tolerance = _bilateral(j, b, r, Fraction(0), K)
+        approx = _series([1.0], shift, j, -K, K, pole)
+    return _report("lemma24", (("j", j), ("b", b), ("r", r)), K,
+                   approx, reference.real, tolerance)
 
 
 def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationReport:
     """Check the phase-weighted bilateral power sum against its closed form.
 
-    For integer x this coincides with the unweighted check.  For the
-    conditionally convergent j = 1 case with fractional x the tolerance
-    comes from Abel summation: each one-sided tail is at most
-    2/(|sin(pi x)| (K+1-|alpha|)), giving 8/(|sin(pi x)| K) after pairing.
+    For integer x this coincides with the unweighted check.
     """
     j, b, r, x, K = _admit("lemma27", j, b, r, x, K)
-    if j < 1:
-        raise ValueError("power j must be >= 1")
-    if b == 0:
-        raise ValueError("modulus b must be nonzero")
-    alpha = Fraction(r, b)
-    _gate_truncation_level(K, alpha)
-    p, q = x.numerator, x.denominator
-    phases = _window_weights(lambda d: _cis(d * p, q), q, -K, K)
-    value = _complex_series(phases, float(alpha), j, -K, K, _pole(alpha))
-    reference = _lemma_reference(j, b, r, x)
-    abs_error = max(abs(value.real - reference.real), abs(value.imag - reference.imag))
-    t = frac(x)
-    if t == 0:
-        tolerance = _tail_bound_unweighted(j, alpha, K)
-    elif j == 1:
-        tolerance = 8.0 / (math.sin(math.pi * float(t)) * K)
-    else:
-        tolerance = _tail_bound_unweighted(j, alpha, K)
-    tolerance += 1e-12
-    return TruncationReport(
-        target="lemma27",
-        params=(("j", j), ("b", b), ("r", r), ("x", x)),
-        K=K,
-        approx=(value.real, value.imag),
-        reference=(reference.real, reference.imag),
-        abs_error=abs_error, tolerance=tolerance,
-        passed=abs_error <= tolerance,
-    )
+    with _in_double_range("j", j):
+        shift, pole, reference, tolerance = _bilateral(j, b, r, x, K)
+        p, q = x.numerator, x.denominator
+        phases = _window_weights(lambda d: _cis(d * p, q), q, -K, K)
+        approx = _complex_series(phases, shift, j, -K, K, pole)
+    return _report("lemma27", (("j", j), ("b", b), ("r", r), ("x", x)), K,
+                   approx, reference, tolerance)
 
 
 def zeta_even_check(j: int, K: int) -> TruncationReport:
@@ -315,21 +312,14 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
     j, K = _admit("zeta-even", j, K)
     if j < 1:
         raise ValueError("j must be >= 1")
-    if K < 1:
-        raise ValueError("truncation level K must be >= 1")
-    approx = _series([1.0], 0.0, 2 * j, 1, K)
-    coeff = Fraction((-1) ** (j + 1) * 2 ** (2 * j - 1), math.factorial(2 * j)) \
-        * bernoulli_number(2 * j)
-    reference = float(coeff) * math.pi ** (2 * j)
-    abs_error = abs(approx - reference)
+    _gate_level(K)
+    with _in_double_range("j", j):
+        approx = _series([1.0], 0.0, 2 * j, 1, K)
+        coeff = Fraction((-1) ** (j + 1) * 2 ** (2 * j - 1), math.factorial(2 * j)) \
+            * bernoulli_number(2 * j)
+        reference = float(coeff) * math.pi ** (2 * j)
     tolerance = float(K) ** (1 - 2 * j) / (2 * j - 1)
-    return TruncationReport(
-        target="zeta_even",
-        params=(("j", j),),
-        K=K, approx=approx, reference=reference,
-        abs_error=abs_error, tolerance=tolerance,
-        passed=abs_error <= tolerance,
-    )
+    return _report("zeta_even", (("j", j),), K, approx, reference, tolerance)
 
 
 class AnalyticSpec(NamedTuple):
@@ -350,15 +340,21 @@ ANALYTIC_TARGETS = {
 }
 
 
+# The exact lemmas are not truncation checks, so the command line does not
+# list them, but they admit their arguments by the same rules.
+_EXACT_PARAMS = {"lemma22": declare(ints=("m", "n"), rationals=("d", "x", "y")),
+                 "lemma28": declare(ints=("m", "n"))}
+
+
 def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,
                   y: Fraction) -> tuple[Fraction, Fraction]:
     """Partial-fraction split of 1/((d-x)^m (d-y)^n), both sides exactly.
 
     Returns ``(lhs, rhs)``; the two are equal for all admissible inputs.
     """
+    m, n, d, x, y = _admit("lemma22", m, n, d, x, y)
     if m < 1 or n < 1:
         raise ValueError("orders m, n must be >= 1")
-    d, x, y = Fraction(d), Fraction(x), Fraction(y)
     if d == x or d == y or x == y:
         raise ValueError("requires d != x, d != y, x != y")
     lhs = 1 / ((d - x) ** m * (d - y) ** n)
@@ -374,6 +370,7 @@ def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,
 
 def lemma28_exact(m: int, n: int) -> tuple[int, int]:
     """Diagonal binomial sum versus its closed form, both sides exactly."""
+    m, n = _admit("lemma28", m, n)
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
     lhs = sum(binomial(m + n - j - 1, n - 1) for j in range(1, m + 1))

@@ -313,6 +313,20 @@ def test_series_memory_is_bounded(check, args):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("check,args,order", [
+    (lemma24_check, (700, 3, 1, 10), "j=700"),
+    (lemma27_check, (700, 3, 1, F(1, 2), 10), "j=700"),
+    (zeta_even_check, (200, 10), "j=200"),
+    (fourier_partial, (200, F(1, 3), 100), "n=200"),
+    (fourier_partial_complex, (200, F(1, 3), 100), "n=200"),
+    (lemma24_check, (150, 1000, 1, 4), "j=150"),   # 0.001^150 underflows to zero
+    (lemma24_check, (400, 1, 0, 2), "j=400"),      # the series is finite; (2 pi i)^400 is not
+])
+def test_order_beyond_double_precision_is_a_value_error(check, args, order):
+    with pytest.raises(ValueError, match=f"order {order} is beyond double precision"):
+        check(*args)
+
+
 class TestExactLemmas:
     def test_partial_fraction_hand_case(self):
         lhs, rhs = lemma22_exact(1, 1, F(0), F(1), F(2))

@@ -4,8 +4,9 @@
 a valid input that has one defect: a float, a bool, a junk string, ``None``
 or a list in place of a value, a missing or unknown name, a non-bool flag,
 or an unknown tag.  The four registered analytic checks, called directly,
-get one bad value in place of a valid argument, and so does
-``fourier_partial_complex``, which admits the arguments of ``fourier``.
+get one bad value in place of a valid argument, and so do
+``fourier_partial_complex``, which admits the arguments of ``fourier``, and
+the exact lemmas ``lemma22_exact`` and ``lemma28_exact``.
 The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
 subclasses) and, on the command line, exit code 2.  A report, a value or
 any other exception fails the test.
@@ -23,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsums import cli
-from dedsums.analytic import ANALYTIC_TARGETS, fourier_partial_complex
+from dedsums import analytic
+from dedsums.analytic import (ANALYTIC_TARGETS, fourier_partial_complex, lemma22_exact,
+                              lemma28_exact)
 from dedsums.exact import parse_rational
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import SUM_FAMILIES, SumRequest
@@ -171,6 +174,55 @@ def test_fourier_partial_complex_takes_no_float():
     with pytest.raises(ValueError):
         fourier_partial_complex(2, 0.1, 50)
     assert fourier_partial_complex(2, "1/10", 50) == fourier_partial_complex(2, Fraction(1, 10), 50)
+
+
+# A valid call of each exact lemma, keyed by its declaration's tag.
+_EXACT_VALID = {
+    "lemma22": (lemma22_exact, {"m": 3, "n": 2, "d": Fraction(1, 10), "x": Fraction(2, 5),
+                                "y": Fraction(-1, 3)}),
+    "lemma28": (lemma28_exact, {"m": 2, "n": 3}),
+}
+
+
+@st.composite
+def exact_lemma_calls(draw):
+    tag = draw(st.sampled_from(sorted(_EXACT_VALID)))
+    fn, valid = _EXACT_VALID[tag]
+    params = analytic._EXACT_PARAMS[tag]
+    values = dict(valid)
+    name = draw(st.sampled_from(sorted(params)))
+    values[name] = draw(BAD_INT if params[name] is int else BAD_VALUE)
+    return fn, values
+
+
+def test_exact_lemmas_valid_calls_hold():
+    for fn, values in _EXACT_VALID.values():
+        lhs, rhs = fn(*values.values())
+        assert lhs == rhs
+    # A rational literal is as good as its Fraction.
+    assert lemma22_exact(3, 2, "1/10", "2/5", "-1/3") == \
+        lemma22_exact(*_EXACT_VALID["lemma22"][1].values())
+
+
+@given(exact_lemma_calls())
+@settings(max_examples=100, deadline=None)
+def test_exact_lemmas_reject_every_bad_value(call):
+    fn, values = call
+    with pytest.raises(ValueError):
+        fn(*values.values())
+
+
+@pytest.mark.parametrize("fn,args", [
+    (lemma22_exact, (3, 2, 0.1, Fraction(2, 5), Fraction(-1, 3))),   # binary value of 0.1
+    (lemma22_exact, (3, True, "1/10", "2/5", "-1/3")),
+    (lemma22_exact, (3, 2, "0.1", "2/5", "-1/3")),
+    (lemma28_exact, (True, 2)),                                      # was (1, 1)
+    (lemma28_exact, (2.0, 2)),                                       # was TypeError
+    (lemma28_exact, (2, "3")),
+])
+def test_exact_lemmas_take_no_float_bool_or_junk(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 # subcommand -> the registry its parsers are built from

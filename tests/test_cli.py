@@ -201,6 +201,12 @@ class TestAnalyticCommand:
         res = run_cli("analytic", "fourier", "-n", "1", "-x", "1/3", "-K", "100")
         assert res.returncode == 2
 
+    def test_order_beyond_double_precision_exits_two(self):
+        res = run_cli("analytic", "zeta-even", "-j", "200", "-K", "10")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: order j=200 is beyond double precision\n"
+
     def test_byte_determinism(self):
         args = ("analytic", "lemma27", "-j", "2", "-b", "3", "-r", "1",
                 "-x", "1/5", "-K", "3000")

@@ -2,8 +2,8 @@
 
 ``perfbench/run.py`` loads ``dedsums`` itself, clears its memos between
 passes and reads their ``cache_info``; ``perfbench/tracing.py`` wraps the
-sum families, the checkers and the CLI entry points by module attribute.
-A renamed or removed name would make a benchmark run end in a traceback
+sum families, the checkers, the CLI entry points and the analytic checks by
+module attribute.  A renamed or removed name would make a benchmark run end in a traceback
 instead of its result line, so these tests run the same code here.
 """
 
@@ -102,3 +102,22 @@ def test_tracer_sees_every_layer_of_a_cli_sweep(bench):
     names = {span[0] for span in tracer.spans}
     assert {"cli.main", "cli.build_parser", "cli.sweep", "cli.enumerate",
             "reciprocity.run_case", "reciprocity.dedekind"} <= names
+
+
+def test_tracer_sees_one_span_per_analytic_check(bench):
+    # analytic.terms_per_s divides the series terms by the time of these
+    # spans; a check that called another by its public name would nest a
+    # second span and count its time twice.
+    run, tracing, dd = bench
+    tracer = tracing.Tracer()
+    tracer.install(dd)
+    try:
+        dd.analytic.zeta_even_check(1, 20)
+        dd.analytic.fourier_partial(2, Fraction(1, 4), 20)
+        dd.analytic.lemma24_check(2, 3, 1, 20)
+        dd.analytic.lemma27_check(2, 3, 1, Fraction(1, 5), 20)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == [
+        "analytic.zeta_even", "analytic.fourier", "analytic.lemma24", "analytic.lemma27"]
+    assert all(span[3] == -1 for span in tracer.spans)
