@@ -14,10 +14,12 @@ stdout, stderr and exit code of ``cli.main`` on a fixed command list: every
 subcommand in every ``--format``, grid and seeded-random sweeps, invalid
 cases, ``--help`` of every parser, and usage errors.
 
-Both files were recorded from the code before the parameter registries
-drove the sampler and the command line (the reports before the product and
-three-modulus laws shared one binomial-side helper; the truncation reports
-before Lemmas 2.4 and 2.7 shared one core), and must keep matching.
+``random_cases.json`` and ``cli.json`` were recorded from the code before
+the parameter registries drove the sampler and the command line (the reports
+before the product and three-modulus laws shared one binomial-side helper),
+``analytic.json`` before Lemmas 2.4 and 2.7 shared one core, and all three
+must keep matching.  ``analytic.json`` is checked only under the Python
+version that recorded it.
 The four CSV records with a set ``--dieter`` flag were recorded again when
 CSV cells began to spell a set flag ``true``, as the ``pass`` cell does.  To record
 them again (only when an output is meant to change), run
