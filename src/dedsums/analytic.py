@@ -248,12 +248,15 @@ def _lemma_reference(j: int, b: int, r: int, x: Fraction) -> complex:
     return coef * acc
 
 
-def _bilateral(j: int, b: int, r: int, x: Fraction, K: int) -> tuple:
-    """Lemmas 2.4 (x = 0) and 2.7 up to their series: shift, pole, reference, tolerance.
+def _bilateral(j: int, b: int, r: int, x: Fraction, K: int,
+               series: Callable[[float, Optional[int]], Union[float, complex]]) -> tuple:
+    """Lemmas 2.4 (x = 0) and 2.7: approximation, reference and tolerance.
 
     The series is the sum over |d| <= K, d != pole, of e(dx) / (d + alpha)^j
-    with alpha = r/b, and the tolerance bounds its tail beyond |d| = K (K past
-    the pole), plus 1e-12:
+    with alpha = r/b, which ``series(shift, pole)`` evaluates after the gates
+    and before the exact reference, so that an order past the double range
+    raises before any exact work.  The tolerance bounds its tail beyond
+    |d| = K (K past the pole), plus 1e-12:
     - j = 1, fractional x: Abel summation bounds each one-sided tail by
       2/(|sin(pi x)| (K+1-|alpha|)), giving 8/(|sin(pi x)| K) after pairing;
     - j = 1, integer x: pairing leaves sum_{d>K} 2*alpha/(alpha^2 - d^2),
@@ -271,20 +274,21 @@ def _bilateral(j: int, b: int, r: int, x: Fraction, K: int) -> tuple:
     if K < need:
         raise ValueError(f"truncation level K={K} too small for pole at {-alpha} "
                          f"(need K >= {need})")
+    approx = series(float(alpha), _pole(alpha))
     a, t = abs(float(alpha)), frac(x)
     if j == 1:
         tail = 8.0 / (math.sin(math.pi * float(t)) * K) if t else 4.0 * (a + 1.0) / K
     else:
         tail = 2.0 * (K - a) ** (1 - j) / (j - 1)
-    return float(alpha), _pole(alpha), _lemma_reference(j, b, r, x), tail + 1e-12
+    return approx, _lemma_reference(j, b, r, x), tail + 1e-12
 
 
 def lemma24_check(j: int, b: int, r: int, K: int) -> TruncationReport:
     """Check the unweighted bilateral power sum against its closed form."""
     j, b, r, K = _admit("lemma24", j, b, r, K)
     with _in_double_range("j", j):
-        shift, pole, reference, tolerance = _bilateral(j, b, r, Fraction(0), K)
-        approx = _series([1.0], shift, j, -K, K, pole)
+        approx, reference, tolerance = _bilateral(
+            j, b, r, Fraction(0), K, lambda shift, pole: _series([1.0], shift, j, -K, K, pole))
     return _report("lemma24", (("j", j), ("b", b), ("r", r)), K,
                    approx, reference.real, tolerance)
 
@@ -295,11 +299,14 @@ def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationRepo
     For integer x this coincides with the unweighted check.
     """
     j, b, r, x, K = _admit("lemma27", j, b, r, x, K)
-    with _in_double_range("j", j):
-        shift, pole, reference, tolerance = _bilateral(j, b, r, x, K)
-        p, q = x.numerator, x.denominator
+    p, q = x.numerator, x.denominator
+
+    def series(shift: float, pole: Optional[int]) -> complex:
         phases = _window_weights(lambda d: _cis(d * p, q), q, -K, K)
-        approx = _complex_series(phases, shift, j, -K, K, pole)
+        return _complex_series(phases, shift, j, -K, K, pole)
+
+    with _in_double_range("j", j):
+        approx, reference, tolerance = _bilateral(j, b, r, x, K, series)
     return _report("lemma27", (("j", j), ("b", b), ("r", r), ("x", x)), K,
                    approx, reference, tolerance)
 
@@ -314,10 +321,13 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
         raise ValueError("j must be >= 1")
     _gate_level(K)
     with _in_double_range("j", j):
+        # The float steps first: an order past the double range raises before
+        # the exact Bernoulli number is grown.
         approx = _series([1.0], 0.0, 2 * j, 1, K)
+        pi_power = math.pi ** (2 * j)
         coeff = Fraction((-1) ** (j + 1) * 2 ** (2 * j - 1), math.factorial(2 * j)) \
             * bernoulli_number(2 * j)
-        reference = float(coeff) * math.pi ** (2 * j)
+        reference = float(coeff) * pi_power
     tolerance = float(K) ** (1 - 2 * j) / (2 * j - 1)
     return _report("zeta_even", (("j", j),), K, approx, reference, tolerance)
 

@@ -14,7 +14,10 @@ integer lattice arguments.
 Numbers and coefficient rows are grown on demand by the defining recurrence
 ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` with ``B_0 = 1`` (convention
 ``B_j = B_j(0)``, so ``B_1 = -1/2``), memoized in a process-wide cache that
-is synchronized for concurrent use.
+is synchronized for concurrent use.  The same cache keeps each row in
+integers, scaled by the lcm ``L_n`` of the denominators of ``B_0..B_n``:
+the exact sums evaluate ``L_n d^n B_n(t/d)``, an integer, and build one
+Fraction per sum instead of one per kernel value.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class BernoulliCache:
     def __init__(self) -> None:
         self._numbers: list[Fraction] = [Fraction(1)]
         self._rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+        self._scaled: list[tuple[int, tuple[int, ...]]] = [(1, (1,))]
         self._lock = threading.Lock()
 
     def _grow(self, n: int) -> None:
@@ -82,6 +86,23 @@ class BernoulliCache:
         if n >= len(self._rows):
             self._grow(n)
         return self._rows[n]
+
+    def scaled_row(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """``(L, (L C(n, k) B_k for k = 0..n))``, L the lcm of the denominators of B_0..B_n.
+
+        The integers are ``L`` times :meth:`poly_row`, in its order.
+        """
+        if n < 0:
+            raise ValueError("Bernoulli polynomial degree must be >= 0")
+        if n >= len(self._scaled):
+            self.poly_row(n)
+            with self._lock:
+                while len(self._scaled) <= n:
+                    k = len(self._scaled)
+                    lcm = math.lcm(self._scaled[-1][0], self._numbers[k].denominator)
+                    self._scaled.append((lcm, tuple(
+                        c.numerator * (lcm // c.denominator) for c in self._rows[k])))
+        return self._scaled[n]
 
 
 _CACHE = BernoulliCache()
@@ -114,12 +135,32 @@ def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple((n - i) * row[i] for i in range(n))
 
 
+# (L_n, (L_n C(n, k) B_k for k = 0..n)): one shared table per order, read
+# by both lattice routes (bound once: it is called per sum and per memo miss).
+_scaled_row = _CACHE.scaled_row
+
+
+def _scaled_poly(n: int, t: int, d: int) -> int:
+    """The integer ``L_n d^n B_n(t/d)`` = sum_k L_n C(n, k) B_k d^k t^(n-k), d > 0."""
+    acc, dk = 0, 1
+    for c in _scaled_row(n)[1]:
+        acc = acc * t + c * dk
+        dk *= d
+    return acc
+
+
+# The kernel memo of the direct lattice route, read once per term with
+# 0 <= t < d; int keys and values hash and multiply fast.  The bound keeps a
+# direct-route sum over a large modulus from growing it without limit.
+_scaled_poly_at = lru_cache(maxsize=1 << 16)(_scaled_poly)
+
+
 @lru_cache(maxsize=1 << 16)
 def _poly_at_pair(n: int, tn: int, td: int) -> Fraction:
     # tn/td is a reduced fraction in [0, 1); int keys hash much faster than
-    # Fraction keys, and cache hits dominate in grid sweeps.  The bound keeps
-    # a direct-route sum over a large modulus from growing the memo without
-    # limit, and sits far above what a grid sweep over small moduli fills.
+    # Fraction keys, and cache hits dominate in grid sweeps.  This memo serves
+    # the kernel functions below, which the closed-form terms of the identity
+    # checks call; the lattice sums read _scaled_poly_at instead.
     return bernoulli_poly(n, Fraction(tn, td))
 
 
@@ -174,3 +215,4 @@ def carlitz_kernel(n: int, x: Fraction) -> Fraction:
 def clear_eval_cache() -> None:
     """Drop memoized kernel evaluations (used to bound memory in long sweeps)."""
     _poly_at_pair.cache_clear()
+    _scaled_poly_at.cache_clear()

@@ -171,12 +171,6 @@ def _kd(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
-@lru_cache(maxsize=4096)
-def _ipow(base: int, exp: int) -> Fraction:
-    # Signed integer base to a possibly negative power, exactly.
-    return Fraction(base) ** exp
-
-
 def _require(cond: bool, identity: str, clause: str) -> None:
     if not cond:
         raise HypothesisError(identity, clause)
@@ -341,24 +335,33 @@ def _inner_pair_sum(j: int, k: int, top: int, mod: int, sub: Fraction,
     return _lattice_sum(j, _form(top, mod, shift, sub, -1), k, _form(1, mod, shift, x), abs(mod))
 
 
-def _binomial_side(scale: int | Fraction, m: int, n: int, a: int, b: int, derivative: bool,
-                   term: Callable[[int, int, Fraction], Fraction]) -> Fraction:
+def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
+                   term: Callable[[int, int], tuple[Fraction, int]], c: int = 1) -> Fraction:
     # One half T(m,n,a,b) of a law T(m,n,a,b,...) +- T(n,m,b,a,...):
-    #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k term(j, k),
-    # with k = m+n-j and w_k = 1/k for the integral-level laws (Thm 3.1,
-    # Cor 3.2, Thm 4.1), k = m+n-j-1 and w_k = 1 for the derivative-level ones.
-    # ``scale`` is the law's global factor (a sign, sgn(b), a power of c), and
-    # ``term(j, k, w)`` returns w * term(j, k).  Both let the small factors
-    # multiply together first: the lattice sums are the large operands, and
-    # every product with one of them costs a gcd of large integers.
-    acc = Fraction(0)
+    #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k c^e S,
+    # where term(j, k) = (S, e) is a lattice sum and an exponent of c, with
+    # k = m+n-j and w_k = 1/k for the integral-level laws (Thm 3.1, Cor 3.2,
+    # Thm 4.1), k = m+n-j-1 and w_k = 1 for the derivative-level ones.
+    # ``scale`` is the law's global integer factor (a sign, sgn(b), a power
+    # of c).  Each summand is one integer over another: the coefficient, c^e
+    # for e >= 0 and the numerator of S above; k, c^-e for e < 0 and the
+    # denominator of S below.  They add up over one running lcm, and the side
+    # is the one Fraction built from the two integers at the end.
+    num, den = 0, 1
     for j in range(m + 1):
-        coef = binomial(m, j) * (-1) ** j * a ** (m - j)
-        if derivative:
-            acc += term(j, m + n - j - 1, coef)
+        k = m + n - j - 1 if derivative else m + n - j
+        total, e = term(j, k)
+        top = math.comb(m, j) * a ** (m - j) * total.numerator
+        bottom = total.denominator if derivative else k * total.denominator
+        if j % 2:
+            top = -top
+        if e >= 0:
+            top *= c ** e
         else:
-            acc += term(j, m + n - j, Fraction(coef, m + n - j))
-    return scale * n * _ipow(b, n - 1) * acc
+            bottom *= c ** -e
+        g = math.gcd(den, bottom)
+        num, den = num * (bottom // g) + top * (den // g), den // g * bottom
+    return Fraction(scale * n * b ** (n - 1) * num, den)
 
 
 def check_thm31(m: int, n: int, a: int, b: int,
@@ -372,7 +375,7 @@ def check_thm31(m: int, n: int, a: int, b: int,
     def side(m, n, a, b, y, z):
         return _binomial_side(
             sgn(b), m, n, a, b, False,
-            lambda j, k, w: w * _inner_pair_sum(j, k, a, b, y, z, x))
+            lambda j, k: (_inner_pair_sum(j, k, a, b, y, z, x), 0))
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -396,7 +399,7 @@ def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     def side(m, n, a, b, x, y):
         return _binomial_side(
             (-1) ** m * sgn(b), m, n, a, b, False,
-            lambda j, k, w: w * s_mn_two(j, k, a, b, x, y))
+            lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
 
     lhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x)
     g = gcd_pos(a, b)
@@ -425,7 +428,7 @@ def check_thm33(m: int, n: int, a: int, b: int,
     def side(m, n, a, b, y, z):
         return _binomial_side(
             sgn(b), m, n, a, b, True,
-            lambda j, k, w: w * _inner_pair_sum(j, k, a, b, y, z, x))
+            lambda j, k: (_inner_pair_sum(j, k, a, b, y, z, x), 0))
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = Fraction(
@@ -443,7 +446,7 @@ def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     def side(m, n, a, b, x, y):
         return _binomial_side(
             (-1) ** m * sgn(b), m, n, a, b, True,
-            lambda j, k, w: w * s_mn_two(j, k, a, b, x, y))
+            lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
 
     lhs = side(m, n, a, b, x, y) - side(n, m, b, a, y, x)
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
@@ -471,7 +474,7 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
     def side(m, n, a, b, x, y):
         return _binomial_side(
             (-1) ** (m + n) * sgn(b * c), m, n, a, b, False,
-            lambda j, k, w: w * _ipow(c, 1 - k) * hwz_s(j, k, a, c, b, x, z, y))
+            lambda j, k: (hwz_s(j, k, a, c, b, x, z, y), 1 - k), c)
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -559,7 +562,7 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
     def side(m, n, a, b, x, y):
         return _binomial_side(
             (-1) ** (m + n - 1) * sgn(b * c), m, n, a, b, True,
-            lambda j, k, w: w * _ipow(c, 1 - k) * hwz_s(j, k, a, c, b, x, z, y))
+            lambda j, k: (hwz_s(j, k, a, c, b, x, z, y), 1 - k), c)
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = Fraction(-sgn(a * b) * weight * n_tilde, 4)
@@ -575,14 +578,14 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
 
     def side(m, n, a, b):
         return _binomial_side(
-            (-1) ** m * _ipow(c, m + 1), m, n, a, b, True,
-            lambda j, k, w: w * _ipow(c, j - m) * s_mn_plain(j, k, a, c, b))
+            (-1) ** m * c ** (m + 1), m, n, a, b, True,
+            lambda j, k: (s_mn_plain(j, k, a, c, b), j - m), c)
 
     lhs = side(m, n, a, b) - side(n, m, b, a)
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
     rhs = (
-        n * b * _ipow(c, m + n - 1) * s_mn_plain(m, n - 1, a, -b, c)
-        - m * a * _ipow(c, m + n - 1) * s_mn_plain(n, m - 1, b, -a, c)
+        n * b * c ** (m + n - 1) * s_mn_plain(m, n - 1, a, -b, c)
+        - m * a * c ** (m + n - 1) * s_mn_plain(n, m - 1, b, -a, c)
         - Fraction(weight * c * c * n_hat, 4)
     )
     return _report(ident, (m, n, a, b, c), lhs, rhs, counter=n_hat)
@@ -694,12 +697,11 @@ def random_case(identity: str, rng) -> dict[str, object]:
 
 
 def _memos() -> dict[str, Callable]:
-    return {"reciprocity._inner_pair_sum": _inner_pair_sum, "reciprocity._ipow": _ipow,
-            **sum_memos()}
+    return {"reciprocity._inner_pair_sum": _inner_pair_sum, **sum_memos()}
 
 
 def clear_caches() -> None:
-    """Drop every evaluation memo: inner sums, powers, family sums and kernel values."""
+    """Drop every evaluation memo: inner sums, family sums and kernel values."""
     for memo in _memos().values():
         memo.cache_clear()
 
@@ -708,7 +710,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Hits, misses, size and maxsize of every evaluation memo, by qualified name.
 
     The names are those :func:`clear_caches` clears: ``reciprocity.*``,
-    ``sums.*`` and the kernel memo ``bernoulli._poly_at_pair``.
+    ``sums.*`` and the kernel memos ``bernoulli._poly_at_pair`` and
+    ``bernoulli._scaled_poly_at``.
     """
     stats = {}
     for name, memo in _memos().items():

@@ -5,18 +5,25 @@ Each family is one lattice sum under its own parameters: the sum over
 is the periodized Bernoulli kernel (the raw kernel ``B_n({.})`` for
 ``carlitz_s``) and the two linear forms carry the family's tops, modulus
 and shifts with signed division.  The public functions only build these
-integers and hand them to :func:`_lattice_sum`, which takes one of two
-routes to the same exact value:
+integers and hand them to :func:`_lattice_sum`.  Both kernels have period
+1, so it first replaces each slope ``p`` by its signed residue mod ``d``
+(``|p| <= d/2``), which changes no term, and then takes one of two routes
+to the same exact value.  Both work in integers: each factor's kernel value
+scaled by ``L_n d^n`` (``L_n`` the lcm of the denominators of
+``B_0..B_n``) is an integer, so a sum is one integer numerator over the
+predictable denominator ``L_m d1^m L_n d2^n``, and one Fraction.
 
-* **direct** -- the literal loop, one pair of kernel calls per term.  The
-  kernel values come from the memo in :mod:`dedsums.bernoulli`, which grid
-  sweeps over small moduli hit constantly.
+* **direct** -- the literal loop, one product of two integer kernel values
+  ``L_n d^n K_n(t/d)`` (``t = num mod d``) per term.  The kernel values
+  come from the memo in :mod:`dedsums.bernoulli`, which grid sweeps over
+  small moduli hit constantly.
 * **piecewise** -- while ``r`` runs over a stretch where neither ``floor``
   moves, each factor is a polynomial in ``r``, so the stretch is summed in
   closed form with power sums; a periodized degree-1 factor, which is 0 and
   not ``-1/2`` at an integer argument, is corrected at those points one by
   one.  Its cost follows the number of stretches (about
-  ``|p1| N/d1 + |p2| N/d2``), not ``N``, and it fills no kernel memo.
+  ``|p1| N/d1 + |p2| N/d2`` with the reduced slopes), not ``N``, and it
+  fills no kernel memo.
 
 The piecewise route is a regrouping of the terms of the defining sum, not a
 reciprocity law, so either side of an identity check may use it: the
@@ -37,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .bernoulli import _bbar_pair, _carlitz_pair, _poly_at_pair, bernoulli_number, bernoulli_poly
+from .bernoulli import _poly_at_pair, _scaled_poly, _scaled_poly_at, _scaled_row
 from .exact import floor_frac, format_rational
 from .params import Params, coerce, declare, lookup
 
@@ -92,28 +99,39 @@ def _solve_linear(p: int, q: int, d: int) -> tuple[int, int] | None:
     return (-(q // g) * pow(p // g, -1, step)) % step, step
 
 
-# Dispatch rule, measured on a 2-core x86-64 KVM guest with Python 3.11.7.
-# hwz-type sums at N = 4001 with tops 23 and -19 and shifts 1/3, -2/5, 1/7
-# (43 stretches) cost, per direct term and per piecewise stretch:
+# Dispatch rule.  hwz-type sums at N = 4001 with tops 23 and -19 and shifts
+# 1/3, -2/5, 1/7 (43 stretches) cost, per direct term and per piecewise
+# stretch, on a 2-core x86-64 KVM guest with Python 3.11.7 (the integer
+# routes, and in brackets the Fraction-per-term routes the rule was set by,
+# timed back to back):
 #
-#   m + n                      2      5      8     12
-#   direct, cold memo (us)    30     44     61     78-95
-#   direct, warm memo (us)     8      9      9     10-12
-#   piecewise stretch (us)    18     39     50     78-110
+#   m + n                        2          5          8         12
+#   direct, cold memo (us)   2.4 (37)   3.4 (56)   4.4 (77)   5.5 (102)
+#   direct, warm memo (us)   0.9 (8.5)  0.9 (9.4)  1.0 (11)   1.0 (12)
+#   piecewise stretch (us)    14 (27)    28 (46)    50 (74)    88 (125)
 #
-# So one stretch costs about one cold term, and 2 + 0.6 (m + n) warm terms.
-# The piecewise route is taken when it covers at least (4 + m + n) terms per
-# stretch, which beats even a warm memo by about two, and only from 64 terms
-# up: below that the loop costs at most a few ms cold, and grid sweeps over
-# small moduli (every acceptance grid, |modulus| <= 30, and the identity and
-# CLI sweeps, |modulus| <= 9) keep the memo warm.  A small-modulus sum with a
-# large top, such as carlitz_s(3, M, a, y, x), stays direct for both reasons.
+# The rule takes the piecewise route when it covers at least (4 + m + n)
+# terms per stretch, and only from 64 terms up.  It was set when one stretch
+# cost about one cold term and 2 + 0.6 (m + n) warm ones, so that it beat
+# even a warm memo by about two.  A stretch now costs 6-16 cold terms and
+# 16-88 warm ones, so near the threshold the direct loop would be the faster
+# route; the rule is kept as it was until it is measured again.  Grid sweeps
+# over small moduli (every acceptance grid, |modulus| <= 30, and the identity
+# and CLI sweeps, |modulus| <= 9) stay below 64 terms and on the direct route.
 _PIECEWISE_MIN_TERMS = 64
 
 
 def _piecewise_pays(m: int, n: int, stretches: int, count: int) -> bool:
     """True when the piecewise route is measured to beat the direct loop."""
     return count >= _PIECEWISE_MIN_TERMS and count >= (4 + m + n) * stretches
+
+
+def _reduce(form: tuple[int, int, int]) -> tuple[int, int, int]:
+    # Both kernels have period 1, so at integer r a slope p mod d and an offset
+    # q mod d give the same terms; the slope is the signed residue, |p| <= d/2.
+    p, q, d = form
+    p %= d
+    return (p - d if 2 * p > d else p), q % d, d
 
 
 def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, int],
@@ -123,6 +141,7 @@ def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, i
     ``f1`` and ``f2`` are the forms ``(p, q, d)`` with ``d > 0``; ``K`` is
     the periodized kernel, or the raw kernel B_n({.}) when ``raw`` is set.
     """
+    f1, f2 = _reduce(f1), _reduce(f2)
     if count >= _PIECEWISE_MIN_TERMS:
         # A factor's floor takes |floor(u(count)) - floor(u(1))| + 1 values;
         # a factor of order 0 is the constant 1 and never breaks a stretch.
@@ -130,41 +149,59 @@ def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, i
                             for order, (p, q, d) in ((m, f1), (n, f2)) if order)
         if _piecewise_pays(m, n, stretches, count):
             return _piecewise_sum(m, f1, n, f2, count, raw)
-    kernel = _carlitz_pair if raw else _bbar_pair
-    (p1, num1, d1), (p2, num2, d2) = f1, f2
-    total = _ZERO
+    # Each term is k1 k2 over the fixed denominator L_m d1^m L_n d2^n, k being
+    # the integer kernel value L d^order K(t/d) at t = num mod d from the memo;
+    # the periodized degree-1 kernel is 0, not B_1(0) = -1/2, at t = 0.
+    (p1, t1, d1), (p2, t2, d2) = f1, f2
+    zero1, zero2 = m == 1 and not raw, n == 1 and not raw
+    kernel = _scaled_poly_at
+    acc = 0
     for _ in range(count):
-        num1 += p1
-        num2 += p2
-        total += kernel(m, num1, d1) * kernel(n, num2, d2)
-    return total
+        t1 = (t1 + p1) % d1
+        t2 = (t2 + p2) % d2
+        if (t1 or not zero1) and (t2 or not zero2):
+            acc += kernel(m, t1, d1) * kernel(n, t2, d2)
+    return Fraction(acc, _scale(m, d1) * _scale(n, d2))
 
 
-def _kernel_value(order: int, num: int, den: int, raw: bool) -> Fraction:
-    # The kernel at num/den (den > 0) without the memo of the direct route.
+def _scale(order: int, den: int) -> int:
+    # L den^order: the denominator of a factor's kernel values on both routes.
+    return _scaled_row(order)[0] * den ** order
+
+
+def _kernel_numerator(order: int, num: int, den: int, raw: bool) -> int:
+    # The integer L den^order K(num/den) of the direct route, without its memo.
     t = num % den
     if t == 0 and order == 1 and not raw:
-        return _ZERO
-    return bernoulli_poly(order, Fraction(t, den))
+        return 0
+    return _scaled_poly(order, t, den)
 
 
-def _stretch_numerators(order: int, numbers: list[int], p: int, q: int, d: int,
-                        r: int) -> tuple[list[int], int]:
+def _stretch_numerators(order: int, p: int, q: int, d: int, r: int) -> tuple[list[int], int]:
     """Integers N_j with L d^order B_order({(p (r + t) + q)/d}) = sum_j N_j t^j.
 
-    ``numbers[i]`` is L B_i, L being the lcm of the denominators of
-    B_0..B_order.  The floor is constant from ``r`` through the returned last
-    point, so the fractional part is (g + p t)/d there, and the Appell
-    property B_k(g/d + h) = sum_j C(k, j) B_(k-j)(g/d) h^j expands it.
+    L is the lcm of the denominators of B_0..B_order.  The floor is constant
+    from ``r`` through the returned last point, so the fractional part is
+    (g + p t)/d there, and L d^order B_order(u/d) is the integer polynomial
+    P(u) = sum_k L C(order, k) B_k d^k u^(order-k) at u = g + p t: P shifted
+    by g (Ruffini-Horner), then its t^j coefficient times p^j.
     """
     fl, g = divmod(p * r + q, d)
     last = ((fl + 1) * d - q - 1) // p if p > 0 else (q - fl * d) // -p
-    gp = [g ** i for i in range(order + 1)]
-    dp = [d ** i for i in range(order + 1)]
-    # scaled[i] = L d^i B_i(g/d)
-    scaled = [sum(math.comb(i, l) * numbers[i - l] * gp[l] * dp[i - l] for l in range(i + 1))
-              for i in range(order + 1)]
-    return [math.comb(order, j) * p ** j * scaled[order - j] for j in range(order + 1)], last
+    # coeffs[i] is the coefficient of u^i of P
+    coeffs, dk = [], 1
+    for c in _scaled_row(order)[1]:
+        coeffs.append(c * dk)
+        dk *= d
+    coeffs.reverse()
+    for i in range(order):
+        for k in range(order - 1, i - 1, -1):
+            coeffs[k] += g * coeffs[k + 1]
+    pj = 1
+    for j in range(order + 1):
+        coeffs[j] *= pj
+        pj *= p
+    return coeffs, last
 
 
 def _power_sums(degree: int, top: int) -> list[int]:
@@ -185,52 +222,41 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
     """:func:`_lattice_sum` by closed-form sums over the stretches of constant floors.
 
     Each stretch adds an integer to one numerator over the fixed denominator
-    ``scale[0] * scale[1]``; the few integer-point corrections are added after.
+    L_m d1^m L_n d2^n of the direct route, and so do the few integer-point
+    corrections after.
     """
     factors = ((m, *f1), (n, *f2))
     # A factor of order 0 or with p = 0 is constant in r: its kernel value.
-    consts = [_kernel_value(order, q, d, raw) if order == 0 or p == 0 else None
+    consts = [_kernel_numerator(order, q, d, raw) if order == 0 or p == 0 else None
               for order, p, q, d in factors]
-    numbers, scale = [], []
-    for (order, p, q, d), const in zip(factors, consts):
-        if const is None:
-            row = [bernoulli_number(i) for i in range(order + 1)]
-            lcm = math.lcm(*(b.denominator for b in row))
-            numbers.append([int(b * lcm) for b in row])
-            scale.append(lcm * d ** order)
-        else:
-            numbers.append(None)
-            scale.append(const.denominator)
     acc = 0
     r = 1
     while r <= count:
         last, polys = count, []
-        for (order, p, q, d), const, row in zip(factors, consts, numbers):
+        for (order, p, q, d), const in zip(factors, consts):
             if const is None:
-                coeffs, end = _stretch_numerators(order, row, p, q, d, r)
+                coeffs, end = _stretch_numerators(order, p, q, d, r)
                 polys.append(coeffs)
                 last = min(last, end)
             else:
-                polys.append((const.numerator,))
+                polys.append((const,))
         sums = _power_sums(len(polys[0]) + len(polys[1]) - 2, last - r)
         acc += sum(a * b * sums[i + j]
                    for i, a in enumerate(polys[0]) for j, b in enumerate(polys[1]))
         r = last + 1
-    total = Fraction(acc, scale[0] * scale[1])
-    if raw:
-        return total
-    # The stretch polynomial of a periodized degree-1 factor gives B_1(0) = -1/2
-    # where its argument is an integer; the kernel is 0 there.
-    zeros = []
-    for (order, p, q, d), const in zip(factors, consts):
-        sol = _solve_linear(p, q, d) if order == 1 and const is None else None
-        zeros.append(set(range(sol[0] or sol[1], count + 1, sol[1])) if sol else set())
-    for r in zeros[0] | zeros[1]:
-        poly = [const if const is not None else _kernel_value(order, p * r + q, d, True)
-                for (order, p, q, d), const in zip(factors, consts)]
-        kern = [_ZERO if r in z else v for z, v in zip(zeros, poly)]
-        total += kern[0] * kern[1] - poly[0] * poly[1]
-    return total
+    if not raw:
+        # The stretch polynomial of a periodized degree-1 factor gives B_1(0) = -1/2
+        # where its argument is an integer; the kernel is 0 there.
+        zeros = []
+        for (order, p, q, d), const in zip(factors, consts):
+            sol = _solve_linear(p, q, d) if order == 1 and const is None else None
+            zeros.append(set(range(sol[0] or sol[1], count + 1, sol[1])) if sol else set())
+        for r in zeros[0] | zeros[1]:
+            poly = [const if const is not None else _kernel_numerator(order, p * r + q, d, True)
+                    for (order, p, q, d), const in zip(factors, consts)]
+            kern = [0 if r in z else v for z, v in zip(zeros, poly)]
+            acc += kern[0] * kern[1] - poly[0] * poly[1]
+    return Fraction(acc, _scale(m, f1[2]) * _scale(n, f2[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +468,10 @@ class SumRequest:
 
 
 def memos() -> dict[str, Callable]:
-    """Every memo of this layer and the kernel memo below it, by qualified name."""
+    """Every memo of this layer and the two kernel memos below it, by qualified name."""
     return {**{f"sums.{spec.fn.__name__}": spec.fn for spec in SUM_FAMILIES.values()},
-            "sums.count_ladder": count_ladder, "bernoulli._poly_at_pair": _poly_at_pair}
+            "sums.count_ladder": count_ladder, "bernoulli._poly_at_pair": _poly_at_pair,
+            "bernoulli._scaled_poly_at": _scaled_poly_at}
 
 
 def clear_caches() -> None:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -325,6 +326,18 @@ def test_series_memory_is_bounded(check, args):
 def test_order_beyond_double_precision_is_a_value_error(check, args, order):
     with pytest.raises(ValueError, match=f"order {order} is beyond double precision"):
         check(*args)
+
+
+@pytest.mark.parametrize("check,args,order", [
+    (zeta_even_check, (311, 1), "j=311"),          # pi^622 overflows; B_622 is slow
+    (lemma24_check, (150, 1000, 1, 4), "j=150"),   # 1000 exact degree-150 kernel values
+])
+def test_order_beyond_double_precision_fails_before_exact_work(check, args, order):
+    # The float steps run before the exact reference, so the error comes at once.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"order {order} is beyond double precision"):
+        check(*args)
+    assert time.perf_counter() - t0 < 0.5
 
 
 class TestExactLemmas:

@@ -1,7 +1,10 @@
 """Identity checkers: spec'd instances, hypothesis gates, counters, chains."""
 
+import functools
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -489,35 +492,37 @@ class TestClearCaches:
     def test_three_clear_functions_empty_every_memo(self):
         run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
                            "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
-        assert rec_mod._ipow.cache_info().currsize > 0
+        assert bern_mod._scaled_poly_at.cache_info().currsize > 0
         assert bern_mod._poly_at_pair.cache_info().currsize > 0
         sums_mod.clear_caches()
         rec_mod.clear_caches()
         bern_mod.clear_eval_cache()
-        assert rec_mod._ipow.cache_info().currsize == 0
+        assert bern_mod._scaled_poly_at.cache_info().currsize == 0
         assert bern_mod._poly_at_pair.cache_info().currsize == 0
 
     def test_reciprocity_clear_alone_empties_every_memo(self):
-        # Tops as large as the modulus keep this sum on the direct route,
-        # which fills the kernel memo with one entry per kernel argument.
-        sums_mod.hwz_s(2, 3, 2000, 2001, 2011, F(1, 3), ZERO, F(1, 7))
+        # Tops near half the modulus keep this sum on the direct route, even
+        # with reduced slopes, and it fills the kernel memo with one entry per
+        # kernel argument.
+        sums_mod.hwz_s(2, 3, 1005, 1006, 2011, F(1, 3), ZERO, F(1, 7))
         run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
                            "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
-        memos = [bern_mod._poly_at_pair, rec_mod._ipow, rec_mod._inner_pair_sum,
+        memos = [bern_mod._scaled_poly_at, bern_mod._poly_at_pair, rec_mod._inner_pair_sum,
                  sums_mod.count_ladder,
                  *(spec.fn for spec in sums_mod.SUM_FAMILIES.values())]
-        assert bern_mod._poly_at_pair.cache_info().currsize > 4000
+        assert bern_mod._scaled_poly_at.cache_info().currsize > 4000
         rec_mod.clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
     def test_kernel_memo_is_bounded(self):
         assert bern_mod._poly_at_pair.cache_info().maxsize == 1 << 16
+        assert bern_mod._scaled_poly_at.cache_info().maxsize == 1 << 16
 
     def test_package_clear_and_stats_cover_every_memo(self):
         memos = {"reciprocity._inner_pair_sum": rec_mod._inner_pair_sum,
-                 "reciprocity._ipow": rec_mod._ipow,
                  "sums.count_ladder": sums_mod.count_ladder,
                  "bernoulli._poly_at_pair": bern_mod._poly_at_pair,
+                 "bernoulli._scaled_poly_at": bern_mod._scaled_poly_at,
                  **{f"sums.{spec.fn.__name__}": spec.fn
                     for spec in sums_mod.SUM_FAMILIES.values()}}
         dedsums.clear_caches()
@@ -537,3 +542,27 @@ class TestClearCaches:
         assert all(s["maxsize"] is not None for s in stats.values())
         dedsums.clear_caches()
         assert all(s["size"] == 0 for s in dedsums.cache_stats().values())
+
+    def test_every_lru_cache_of_the_package_is_named_and_cleared(self):
+        # Every functools.lru_cache wrapper bound at module level in the module
+        # that defines it, anywhere in the package (not the __main__ entry
+        # point, which runs the CLI), by the name cache_stats() would give it.
+        found = {}
+        for info in pkgutil.iter_modules(dedsums.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"dedsums.{info.name}")
+            for attr, obj in vars(module).items():
+                if (isinstance(obj, functools._lru_cache_wrapper)
+                        and obj.__module__ == module.__name__):
+                    found[f"{info.name}.{attr}"] = obj
+        assert len(found) >= 13
+        assert set(found) <= set(dedsums.cache_stats())
+        rng = random.Random(5)
+        for identity in IDENTITIES:
+            run_case(identity, random_case(identity, rng))
+        sums_mod.hwz_s(2, 3, 1005, 1006, 2011, F(1, 3), ZERO, F(1, 7))
+        assert all(memo.cache_info().currsize > 0 for memo in found.values())
+        dedsums.clear_caches()
+        assert {name: memo.cache_info().currsize for name, memo in found.items()} == \
+            dict.fromkeys(found, 0)

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -478,7 +478,66 @@ class TestRoutes:
         t0 = time.perf_counter()
         hwz_s(2, 3, 1, 2, 200003, F(1, 3), ZERO, F(1, 7))
         elapsed = time.perf_counter() - t0
-        entries = bern_mod._poly_at_pair.cache_info().currsize
+        entries = bern_mod._scaled_poly_at.cache_info().currsize
         _clear_all()
         assert entries < 1000
         assert elapsed < 1.0
+
+
+_big_tops = st.integers(-9000, 9000)
+
+
+class TestReducedSlopes:
+    """Slopes reduced to their signed residue mod d: same terms, any top."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(0, 5), n=st.integers(0, 5), a=_big_tops, b=_big_tops,
+           c=st.integers(-59, 59).filter(bool), x=_shifts, y=_shifts, z=_shifts)
+    def test_large_tops_match_literal_loop(self, m, n, a, b, c, x, y, z):
+        expect = oracles.hwz_oracle(m, n, a, b, c, x, y, z)
+        raw_expect = oracles.raw_hwz_oracle(1, n, 1, a, c, ZERO, -x, y)
+        for piecewise in (False, True):
+            with forced_route(piecewise):
+                assert hwz_s(m, n, a, b, c, x, y, z) == expect
+                assert carlitz_s(n, a, c, x, y) == raw_expect
+
+    def test_tops_near_a_large_modulus_are_fast(self):
+        # About 17 s each on the direct loop before the slopes were reduced.
+        _clear_all()
+        t0 = time.perf_counter()
+        reports = [run_case("thm31", {"m": 2, "n": 2, "a": 100003, "b": 99991,
+                                      "x": ZERO, "y": F(1, 3), "z": ZERO}),
+                   run_case("cor43", {"p": 3, "r": 1, "a": 100003, "b": 99991, "c": 7})]
+        elapsed = time.perf_counter() - t0
+        _clear_all()
+        assert all(rep.passed for rep in reports)
+        assert elapsed < 2.0
+
+
+def _literal_lattice_sum(m, f1, n, f2, count, raw):
+    """The lattice sum as a literal Fraction loop over the oracle kernels."""
+    kernel = oracles.carlitz_oracle if raw else oracles.bbar_oracle
+    (p1, q1, d1), (p2, q2, d2) = f1, f2
+    return sum((kernel(m, F(p1 * r + q1, d1)) * kernel(n, F(p2 * r + q2, d2))
+                for r in range(1, count + 1)), ZERO)
+
+
+# Integer shifts half the time: with integer x and z some r puts
+# a (r + z)/c - x on an integer, where the two degree-1 kernels differ.
+_integral_shifts = st.one_of(st.integers(-3, 3).map(Fraction),
+                             st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+_orders = st.one_of(st.just(1), st.integers(0, 8))
+
+
+class TestIntegerDirectRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(m=_orders, n=_orders, a=st.integers(-90, 90),
+           b=st.integers(-90, 90), c=st.integers(-40, 40).filter(bool),
+           x=_integral_shifts, y=_integral_shifts, z=_integral_shifts, raw=st.booleans())
+    @example(m=1, n=1, a=3, b=-2, c=-6, x=ZERO, y=F(1, 2), z=F(1), raw=False)
+    @example(m=1, n=8, a=5, b=7, c=40, x=F(2), y=F(-1), z=ZERO, raw=True)
+    def test_matches_literal_fraction_loop(self, m, n, a, b, c, x, y, z, raw):
+        f1, f2 = sums_mod._form(a, c, z, x, -1), sums_mod._form(b, c, z, y, -1)
+        expect = _literal_lattice_sum(m, f1, n, f2, abs(c), raw)
+        with forced_route(False):
+            assert sums_mod._lattice_sum(m, f1, n, f2, abs(c), raw) == expect
