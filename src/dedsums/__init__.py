@@ -7,9 +7,9 @@ polynomial), verifies each reciprocity law by computing both sides
 independently and asserting a zero residual, and double-checks the convergent-series facts behind the theory
 with tolerance-bounded floating-point truncations.
 
-Sums and kernel values are memoized in bounded caches; ``clear_caches()``
-drops every one of them and ``cache_stats()`` reports each one's hits,
-misses, size and maxsize.
+Every sum family reads one bounded memo of lattice sums, keyed by integers;
+``clear_caches()`` drops it and the three other memos (``sums.count_ladder``
+and two kernel memos), and ``cache_stats()`` reports each one's use.
 """
 
 from .analytic import (

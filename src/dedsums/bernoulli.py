@@ -16,8 +16,9 @@ Numbers and coefficient rows are grown on demand by the defining recurrence
 ``B_j = B_j(0)``, so ``B_1 = -1/2``), memoized in a process-wide cache that
 is synchronized for concurrent use.  The same cache keeps each row in
 integers, scaled by the lcm ``L_n`` of the denominators of ``B_0..B_n``:
-the exact sums evaluate ``L_n d^n B_n(t/d)``, an integer, and build one
-Fraction per sum instead of one per kernel value.
+``L_n d^n B_n(t/d)`` is an integer.  The exact sums add those integers and
+build one Fraction per sum; every other polynomial value is one of them
+over ``L_n d^n``.
 """
 
 from __future__ import annotations
@@ -121,10 +122,7 @@ def bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Exact value of the Bernoulli polynomial B_n(x)."""
     x = Fraction(x)
-    acc = _ZERO
-    for c in _CACHE.poly_row(n):
-        acc = acc * x + c
-    return acc
+    return _poly_value(n, x.numerator, x.denominator)
 
 
 def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
@@ -149,19 +147,21 @@ def _scaled_poly(n: int, t: int, d: int) -> int:
     return acc
 
 
+def _poly_value(n: int, tn: int, td: int) -> Fraction:
+    # B_n(tn/td) for any integer tn and td > 0: the integer above over L_n td^n.
+    return Fraction(_scaled_poly(n, tn, td), _scaled_row(n)[0] * td ** n)
+
+
 # The kernel memo of the direct lattice route, read once per term with
 # 0 <= t < d; int keys and values hash and multiply fast.  The bound keeps a
 # direct-route sum over a large modulus from growing it without limit.
 _scaled_poly_at = lru_cache(maxsize=1 << 16)(_scaled_poly)
 
 
-@lru_cache(maxsize=1 << 16)
-def _poly_at_pair(n: int, tn: int, td: int) -> Fraction:
-    # tn/td is a reduced fraction in [0, 1); int keys hash much faster than
-    # Fraction keys, and cache hits dominate in grid sweeps.  This memo serves
-    # the kernel functions below, which the closed-form terms of the identity
-    # checks call; the lattice sums read _scaled_poly_at instead.
-    return bernoulli_poly(n, Fraction(tn, td))
+# The kernel memo of the kernel functions below, which the closed-form terms
+# of the identity checks call, with tn/td a reduced fraction in [0, 1); int
+# keys hash much faster than Fraction keys, and hits dominate in grid sweeps.
+_poly_at_pair = lru_cache(maxsize=1 << 16)(_poly_value)
 
 
 def _bbar_pair(n: int, num: int, den: int) -> Fraction:

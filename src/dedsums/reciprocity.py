@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .bernoulli import (
@@ -52,11 +52,12 @@ from .sums import (
     _lattice_sum,
     apostol_s,
     berndt_s,
+    cache_stats,
     carlitz_s,
     classical_s,
+    clear_caches,
     count_ladder,
     hwz_s,
-    memos as sum_memos,
     rademacher_s,
     s_mn_plain,
     s_mn_two,
@@ -328,11 +329,15 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
 # Product formulas for two periodized factors and their projections
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 16)
 def _inner_pair_sum(j: int, k: int, top: int, mod: int, sub: Fraction,
                     shift: Fraction, x: Fraction) -> Fraction:
     # sum over l = 1..|mod| of B'_j(top(l+shift)/mod - sub) B'_k(x + (l+shift)/mod)
     return _lattice_sum(j, _form(top, mod, shift, sub, -1), k, _form(1, mod, shift, x), abs(mod))
+
+
+# A view of the one lattice-sum memo, as each family in sums carries one.
+_inner_pair_sum.cache_info = _lattice_sum.cache_info
+_inner_pair_sum.cache_clear = _lattice_sum.cache_clear
 
 
 def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
@@ -694,28 +699,3 @@ def random_case(identity: str, rng) -> dict[str, object]:
     for name in spec.shifts:
         drawn[name] = Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
     return {name: drawn[name] for name in spec.params}
-
-
-def _memos() -> dict[str, Callable]:
-    return {"reciprocity._inner_pair_sum": _inner_pair_sum, **sum_memos()}
-
-
-def clear_caches() -> None:
-    """Drop every evaluation memo: inner sums, family sums and kernel values."""
-    for memo in _memos().values():
-        memo.cache_clear()
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses, size and maxsize of every evaluation memo, by qualified name.
-
-    The names are those :func:`clear_caches` clears: ``reciprocity.*``,
-    ``sums.*`` and the kernel memos ``bernoulli._poly_at_pair`` and
-    ``bernoulli._scaled_poly_at``.
-    """
-    stats = {}
-    for name, memo in _memos().items():
-        info = memo.cache_info()
-        stats[name] = {"hits": info.hits, "misses": info.misses,
-                       "size": info.currsize, "maxsize": info.maxsize}
-    return stats

@@ -31,9 +31,10 @@ checks in :mod:`dedsums.reciprocity` still compare a lattice sum with
 closed-form terms and sums over the other moduli.  :func:`_piecewise_pays`
 picks the route by a rule measured in (orders, stretches, ``N``); small
 moduli always take the direct route.  Negative moduli are supported
-wherever the defining sum permits them.  Results are memoized with bounded
-caches: grid sweeps re-request the same lattice arguments constantly and
-the sums are pure functions of their arguments.
+wherever the defining sum permits them.  One bounded memo on
+:func:`_lattice_sum`, keyed by its integer arguments, holds every value, so
+families that are the same lattice sum share entries; orders, tops and
+moduli must be ints and shifts ints or Fractions, else ``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 _CACHE_SIZE = 1 << 16
-_ZERO = Fraction(0)
+_EXACT = (int, Fraction)
 
 
 def _require_nonzero(value: int, name: str) -> None:
@@ -73,6 +74,8 @@ def _require_nonzero(value: int, name: str) -> None:
 
 
 def _require_order(value: int, name: str, minimum: int = 0) -> None:
+    if type(value) is not int:  # a bool, a float or a string is refused
+        raise ValueError(f"order {name} must be an int, got {value!r}")
     if value < minimum:
         raise ValueError(f"order {name} must be >= {minimum}")
 
@@ -81,12 +84,20 @@ def _require_order(value: int, name: str, minimum: int = 0) -> None:
 # The lattice-sum core
 # ---------------------------------------------------------------------------
 
-def _form(top: int, mod: int, shift: Fraction, offset: Fraction = _ZERO,
+def _form(top: int, mod: int, shift: Fraction | int, offset: Fraction | int = 0,
           sign: int = 1) -> tuple[int, int, int]:
-    """Integers (p, q, d), d > 0, with (p r + q)/d = top (r + shift)/mod + sign offset."""
-    sn, sd = shift.numerator, shift.denominator
-    on, od = sign * offset.numerator, offset.denominator
-    p, q, d = top * sd * od, top * sn * od + on * sd * mod, sd * mod * od
+    """Integers (p, q, d), d > 0, with (p r + q)/d = top (r + shift)/mod + sign offset.
+
+    Every top and modulus of a family passes here: they must be ints (not
+    bools), and the shift and offset ints or Fractions.
+    """
+    if type(top) is not int or type(mod) is not int:
+        raise ValueError(f"tops and moduli must be ints, got {top!r} and {mod!r}")
+    if type(shift) not in _EXACT or type(offset) not in _EXACT:
+        raise ValueError(f"shifts must be ints or Fractions, got {shift!r} and {offset!r}")
+    sn, sd = shift.as_integer_ratio()
+    on, od = offset.as_integer_ratio()
+    p, q, d = top * sd * od, top * sn * od + sign * on * sd * mod, sd * mod * od
     return (p, q, d) if d > 0 else (-p, -q, -d)
 
 
@@ -134,6 +145,7 @@ def _reduce(form: tuple[int, int, int]) -> tuple[int, int, int]:
     return (p - d if 2 * p > d else p), q % d, d
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, int],
                  count: int, raw: bool = False) -> Fraction:
     """Sum over r = 1..count of K_m((p1 r + q1)/d1) K_n((p2 r + q2)/d2).
@@ -263,38 +275,31 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
 # The families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def classical_s(a: int, b: int) -> Fraction:
     """Classical Dedekind sum: sum of ((r/b)) ((ar/b)) over r = 1..|b|."""
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, _ZERO), 1, _form(a, b, _ZERO), abs(b))
+    return _lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def rademacher_s(a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Shifted two-term sum: sum of (((r+y)/b)) ((a(r+y)/b + x))."""
     _require_nonzero(b, "b")
-    x, y = Fraction(x), Fraction(y)
     return _lattice_sum(1, _form(1, b, y), 1, _form(a, b, y, x), abs(b))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def berndt_s(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Three-argument sawtooth sum: sum of ((a(r+z)/c - x)) ((b(r+z)/c - y))."""
     _require_nonzero(c, "c")
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
     return _lattice_sum(1, _form(a, c, z, x, -1), 1, _form(b, c, z, y, -1), abs(c))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def apostol_s(n: int, a: int, b: int) -> Fraction:
     """Higher-order sum with one sawtooth factor and one degree-n factor."""
     _require_order(n, "n", 1)
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, _ZERO), n, _form(a, b, _ZERO), abs(b))
+    return _lattice_sum(1, _form(1, b, 0), n, _form(a, b, 0), abs(b))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Shifted higher-order sum built on the raw polynomial kernel B_n({.}).
 
@@ -303,11 +308,9 @@ def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    x, y = Fraction(x), Fraction(y)
     return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b), raw=True)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def hwz_s(m: int, n: int, a: int, b: int, c: int,
           x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Generalized two-order, three-modulus, three-shift sum.
@@ -320,36 +323,30 @@ def hwz_s(m: int, n: int, a: int, b: int, c: int,
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(c, "c")
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
     return _lattice_sum(m, _form(a, c, z, x, -1), n, _form(b, c, z, y, -1), abs(c))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def s_mn_two(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Two-modulus projection: sum of B'_m(a(r+y)/b + x) B'_n((r+y)/b)."""
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    x, y = Fraction(x), Fraction(y)
     return _lattice_sum(m, _form(a, b, y, x), n, _form(1, b, y), abs(b))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def s_n_two(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Single-order projection: sum of B'_1((r+y)/b) B'_n(a(r+y)/b + x)."""
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    x, y = Fraction(x), Fraction(y)
     return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
     """Unshifted three-modulus sum: sum of B'_m(ar/c) B'_n(br/c)."""
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(c, "c")
-    return _lattice_sum(m, _form(a, c, _ZERO), n, _form(b, c, _ZERO), abs(c))
+    return _lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -369,7 +366,6 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         _require_nonzero(v, name)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
     _, fz = floor_frac(z)
     residue, step = 0, 1
     for top, shift in ((a, x), (b, y)):
@@ -467,14 +463,35 @@ class SumRequest:
                    shifts=tuple(v[n] for n in spec.shifts))
 
 
+# Views of the one memo, for callers that still ask a family for cache_info.
+for _spec in SUM_FAMILIES.values():
+    _spec.fn.cache_info, _spec.fn.cache_clear = _lattice_sum.cache_info, _lattice_sum.cache_clear
+
+
 def memos() -> dict[str, Callable]:
     """Every memo of this layer and the two kernel memos below it, by qualified name."""
-    return {**{f"sums.{spec.fn.__name__}": spec.fn for spec in SUM_FAMILIES.values()},
-            "sums.count_ladder": count_ladder, "bernoulli._poly_at_pair": _poly_at_pair,
+    return {"sums._lattice_sum": _lattice_sum, "sums.count_ladder": count_ladder,
+            "bernoulli._poly_at_pair": _poly_at_pair,
             "bernoulli._scaled_poly_at": _scaled_poly_at}
 
 
 def clear_caches() -> None:
-    """Drop all memoized sum values and kernel evaluations (bounds memory in long sweeps)."""
+    """Drop every evaluation memo: lattice sums, ladder counts and kernel values."""
     for memo in memos().values():
         memo.cache_clear()
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses, size and maxsize of every evaluation memo, by qualified name.
+
+    The names are those of :func:`memos`: ``sums._lattice_sum``, the one memo
+    of every family and of ``reciprocity._inner_pair_sum``, then
+    ``sums.count_ladder``, ``bernoulli._poly_at_pair`` and
+    ``bernoulli._scaled_poly_at``.
+    """
+    stats = {}
+    for name, memo in memos().items():
+        info = memo.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses,
+                       "size": info.currsize, "maxsize": info.maxsize}
+    return stats

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from dedsums import bernoulli as bern_mod
 from dedsums.bernoulli import (
     BernoulliCache,
     bernoulli_function,
@@ -57,6 +58,14 @@ class TestPolynomials:
         for n in range(11):
             for x in pts:
                 assert bernoulli_poly(n, x) == oracles.worpitzky_poly(n, x)
+
+    @given(st.integers(0, 12), rationals)
+    def test_integer_evaluator_matches_worpitzky(self, n, x):
+        # B_n(t/d) as the integer L_n d^n B_n(t/d) over L_n d^n, at any sign of t
+        assert bernoulli_poly(n, x) == oracles.worpitzky_poly(n, x)
+        t = x - (x.numerator // x.denominator)
+        assert bern_mod._poly_at_pair(n, t.numerator, t.denominator) == \
+            oracles.worpitzky_poly(n, t)
 
     def test_row_evaluations_match_numbers(self):
         # row at 0 gives B_n; row at 1 gives B_n + [n == 1]

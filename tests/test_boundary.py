@@ -6,7 +6,9 @@ or a list in place of a value, a missing or unknown name, a non-bool flag,
 or an unknown tag.  The four registered analytic checks, called directly,
 get one bad value in place of a valid argument, and so do
 ``fourier_partial_complex``, which admits the arguments of ``fourier``, and
-the exact lemmas ``lemma22_exact`` and ``lemma28_exact``.
+the exact lemmas ``lemma22_exact`` and ``lemma28_exact``.  Every sum
+family, called directly, gets a float, a bool, a junk string or ``None`` in
+place of one argument.
 The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
 subclasses) and, on the command line, exit code 2.  A report, a value or
 any other exception fails the test.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedsums import cli
@@ -118,6 +120,28 @@ def test_run_case_rejects_every_defect(case):
 def test_sum_request_rejects_every_defect(data):
     with pytest.raises(ValueError):
         SumRequest.from_json_dict(data)
+
+
+@st.composite
+def family_calls(draw):
+    """A valid direct call of one sum family with one argument made inexact."""
+    spec = SUM_FAMILIES[draw(st.sampled_from(sorted(SUM_FAMILIES)))]
+    args = {name: draw(st.integers(1, 5)) if kind is int else
+            draw(st.sampled_from([Fraction(1, 3), Fraction(-2, 5), 0]))
+            for name, kind in spec.params.items()}
+    args[draw(st.sampled_from(sorted(args)))] = draw(
+        st.one_of(st.floats(), st.booleans(), JUNK_TEXT, st.none()))
+    return spec.fn, tuple(args.values())
+
+
+@given(family_calls())
+@example((SUM_FAMILIES["classical"].fn, (True, 3)))
+@example((SUM_FAMILIES["classical"].fn, (2.5, 3)))
+@settings(max_examples=300, deadline=None)
+def test_families_reject_every_inexact_argument(call):
+    fn, args = call
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 @pytest.mark.parametrize("values", [None, [("a", 2), ("b", 3)], "a=2 b=3"])

@@ -8,13 +8,20 @@ from fractions import Fraction
 
 import pytest
 
+import dedsums
 from dedsums.sums import SumRequest
+
+# The directory that holds the imported package: the child process runs the
+# same sources, however this one found them (pytest's pythonpath, an install).
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "dedsums", *args],
         capture_output=True, text=True, env=env,

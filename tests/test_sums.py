@@ -20,6 +20,7 @@ from dedsums import sums as sums_mod
 from dedsums.exact import gcd_pos
 from dedsums.reciprocity import run_case
 from dedsums.sums import (
+    SUM_FAMILIES,
     SumRequest,
     apostol_s,
     berndt_s,
@@ -267,6 +268,37 @@ class TestFamilyCoherence:
             assert hwz_s(m, n, a, b, c, x, y, z + 1) == base
             assert rademacher_s(a or 1, c, x, y) == rademacher_s(a or 1, c, x + 1, y + 1)
             assert carlitz_s(n, a, c, x, y) == carlitz_s(n, a, c, x + 1, y + 1)
+
+    @pytest.mark.parametrize("family", sorted(SUM_FAMILIES))
+    def test_int_shifts_equal_fraction_shifts(self, family):
+        spec = SUM_FAMILIES[family]
+        head = [2] * len(spec.orders) + [5, -3, 7][:len(spec.moduli)]
+        shifts = [1, -2, 0][:len(spec.shifts)]
+        assert spec.fn(*head, *shifts) == spec.fn(*head, *map(F, shifts))
+
+
+class TestOneMemo:
+    """Every family reads the one memo on the lattice sum, keyed by its integers."""
+
+    def test_rademacher_reads_the_hwz_entry(self):
+        _clear_all()
+        a, b, x, y = 3, -7, F(1, 3), F(-2, 5)
+        first = hwz_s(1, 1, 1, a, b, 0, -x, y)
+        assert rademacher_s(a, b, x, y) == first
+        info = sums_mod._lattice_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_classical_reads_the_plain_entry(self):
+        _clear_all()
+        first = s_mn_plain(1, 1, 1, 5, 11)
+        assert classical_s(5, 11) == first
+        info = sums_mod._lattice_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_family_views_read_the_one_memo(self):
+        for fn in (*(spec.fn for spec in SUM_FAMILIES.values()), rec_mod._inner_pair_sum):
+            assert fn.cache_info == sums_mod._lattice_sum.cache_info
+            assert fn.cache_clear == sums_mod._lattice_sum.cache_clear
 
 
 _LADDER_SHIFTS = st.one_of(st.integers(-4, 4).map(Fraction),
