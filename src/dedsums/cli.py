@@ -30,7 +30,6 @@ import os
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,7 +159,23 @@ _VALUE_TYPE = {int: _int, Fraction: parse_rational}
 _GRID_TYPE = {int: (_int_range, "RANGE"), Fraction: (_rational_list, "LIST")}
 
 
+_PARSER: _Parser | None = None
+
+
 def build_parser() -> _Parser:
+    """The one parser of this process, built on the first call.
+
+    argparse does not change a parser while it parses, and help text is
+    laid out (``COLUMNS`` read) only when it is printed, so every call of
+    :func:`main` can reuse the same tree.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> _Parser:
     top = _Parser(prog="dedsums", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -321,6 +336,8 @@ def _cmd_sweep(args) -> int:
         return 2
 
     if workers > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep needs it
+
         chunk = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_case, cases, chunksize=chunk))
@@ -366,9 +383,9 @@ def _cmd_analytic(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Built per call, so each handler is looked up as a module attribute.
+    # build_parser and the handlers are looked up as module attributes on
+    # every call, so a wrapper set on the module (a tracer) sees each call.
+    args = build_parser().parse_args(argv)
     handlers = {"sum": _cmd_sum, "verify": _cmd_verify, "sweep": _cmd_sweep,
                 "analytic": _cmd_analytic}
     return handlers[args.command](args)

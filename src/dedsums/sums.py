@@ -349,7 +349,8 @@ def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
     return _lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# typed: a bool or float never finds the entry of the int or Fraction it equals.
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> int:
     """Count lattice triples on the common ladder through the three moduli.
 
@@ -362,10 +363,14 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     the k for which a(k+{z})/c - x and b(k+{z})/c - y are both integers.
     Each condition is one linear congruence in k; the two combine by the
     Chinese remainder theorem into one residue class, counted in O(log |c|).
-    For positive moduli and zero shifts this is gcd(a, b, c).
+    For positive moduli and zero shifts this is gcd(a, b, c).  The moduli
+    must be ints (not bools) and the shifts ints or Fractions, else
+    ``ValueError``.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         _require_nonzero(v, name)
+    if type(z) not in _EXACT:  # x and y are admitted by _form
+        raise ValueError(f"shifts must be ints or Fractions, got {z!r}")
     _, fz = floor_frac(z)
     residue, step = 0, 1
     for top, shift in ((a, x), (b, y)):

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, formats, byte-determinism, worker pool."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,16 +18,17 @@ from dedsums.sums import SumRequest
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "dedsums", *args],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "dedsums", *args, env_extra=env_extra)
 
 
 class TestSumCommand:
@@ -328,3 +331,42 @@ class TestUsage:
 
     def test_unknown_identity(self):
         assert run_cli("verify", "nope", "-a", "1").returncode == 2
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser; each call prints what a fresh process prints."""
+
+    def test_built_once(self):
+        from dedsums import cli
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_a_fresh_process(self, monkeypatch):
+        from dedsums import cli
+        monkeypatch.delenv("DEDSUMS_WORKERS", raising=False)
+        monkeypatch.setattr(cli, "_PARSER", None)  # built by the first call below
+        verify = ["verify", "dedekind", "-a", "2"]
+        sequence = [("80", verify),  # -b missing: a usage error, exit 2
+                    ("80", verify + ["-b", "3", "--format", "csv"]),
+                    ("80", verify + ["-b", "3"]),  # JSON, the default, after csv
+                    ("40", ["sweep", "thm31", "--help"]),
+                    ("200", ["sweep", "thm31", "--help"])]
+        for columns, argv in sequence:
+            monkeypatch.setenv("COLUMNS", columns)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            fresh = run_cli(*argv)
+            assert (out.getvalue(), err.getvalue(), code) == \
+                (fresh.stdout, fresh.stderr, fresh.returncode), (columns, argv)
+        assert code == 0 and fresh.stdout.startswith("usage: dedsums sweep thm31")
+
+
+def test_import_leaves_the_process_pool_out():
+    # Only a sweep with --workers > 1 imports the pool.
+    res = run_python("-c", "import sys, dedsums.cli; print(sorted(m for m in "
+                     "('concurrent.futures.process', 'multiprocessing') if m in sys.modules))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -315,6 +315,16 @@ class TestLadderCounter:
         with pytest.raises(ValueError):
             count_ladder(0, 1, 1, ZERO, ZERO, ZERO)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_inexact_arguments_rejected_in_either_memo_state(self, warm):
+        sums_mod.clear_caches()
+        if warm:  # memoize the int and Fraction calls the inexact ones equal
+            assert count_ladder(1, 2, 3, 1, 0, 0) == 1
+            assert count_ladder(1, 2, 3, 0, 0, F(1, 2)) == 0
+        for args in [(1, 2, 3, 0, 0, 0.5), (1, 2, 3, 0, 0, "1/2"), (1, 2, 3, True, 0, 0)]:
+            with pytest.raises(ValueError):
+                count_ladder(*args)
+
     def test_matches_triple_enumeration_positive(self):
         shifts = [ZERO, F(1, 2), F(1, 3), F(2, 5)]
         for a in range(1, 7):
