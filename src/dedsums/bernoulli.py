@@ -119,9 +119,18 @@ def bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     return _CACHE.poly_row(n)
 
 
+def _admit(x: Fraction, n: int = 1) -> None:
+    # The public kernels take an int degree (not a bool) and an exact point,
+    # an int (not a bool) or a Fraction; a float would run on its binary value.
+    if type(n) is not int:
+        raise ValueError(f"degree must be an int, got {n!r}")
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError(f"kernel argument must be an int or a Fraction, got {x!r}")
+
+
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Exact value of the Bernoulli polynomial B_n(x)."""
-    x = Fraction(x)
+    _admit(x, n)
     return _poly_value(n, x.numerator, x.denominator)
 
 
@@ -186,6 +195,7 @@ def _carlitz_pair(n: int, num: int, den: int) -> Fraction:
 
 def sawtooth(x: Fraction) -> Fraction:
     """The sawtooth ((x)): 0 at integers, {x} - 1/2 elsewhere."""
+    _admit(x)
     _, t = floor_frac(x)
     if t == 0:
         return _ZERO
@@ -198,17 +208,17 @@ def bernoulli_function(n: int, x: Fraction) -> Fraction:
     Degree 0 is the constant 1, degree 1 is the sawtooth (0 at integers),
     and degree n >= 2 is B_n({x}).
     """
+    _admit(x, n)
     if n < 0:
         raise ValueError("Bernoulli function index must be >= 0")
-    x = Fraction(x)
     return _bbar_pair(n, x.numerator, x.denominator)
 
 
 def carlitz_kernel(n: int, x: Fraction) -> Fraction:
     """B_n({x}) with no integer-point adjustment: B_1({k}) = -1/2 for k in Z."""
+    _admit(x, n)
     if n < 0:
         raise ValueError("kernel index must be >= 0")
-    x = Fraction(x)
     return _carlitz_pair(n, x.numerator, x.denominator)
 
 

@@ -36,6 +36,12 @@ _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(rf"({_INTEGER_RE.pattern})(?:/([0-9]+))?")
 
 
+def _as_fraction(x) -> Fraction:
+    # ``Fraction(x)``, but a Fraction itself is returned uncopied: the values
+    # that reach the rendering and rounding helpers mostly are Fractions.
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def gcd_pos(a: int, b: int) -> int:
     """Positive greatest common divisor of ``|a|`` and ``|b|``.
 
@@ -51,14 +57,14 @@ def floor_frac(x: Fraction) -> tuple[int, Fraction]:
 
     Returns ``(q, t)`` with ``x == q + t`` and ``0 <= t < 1``.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     q = x.numerator // x.denominator
     return q, x - q
 
 
 def frac(x: Fraction) -> Fraction:
     """Fractional part ``{x}`` in ``[0, 1)``."""
-    x = Fraction(x)
+    x = _as_fraction(x)
     return x - (x.numerator // x.denominator)
 
 
@@ -73,7 +79,7 @@ def sgn(x) -> int:
 
 def is_integer(x: Fraction) -> bool:
     """Whether ``x`` is an integer (the indicator usually written delta_Z)."""
-    return Fraction(x).denominator == 1
+    return _as_fraction(x).denominator == 1
 
 
 def binomial(n: int, k: int) -> int:
@@ -115,7 +121,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Format ``x`` as a literal that :func:`parse_rational` round-trips."""
-    x = Fraction(x)
+    x = _as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -5,9 +5,12 @@ structurally independent routes -- the lattice-sum families from
 :mod:`dedsums.sums` on one side (by either of that module's routes, both of
 which regroup the defining sum), closed-form Bernoulli/gcd/lattice-counter
 expressions on the other -- and returns both values together with the exact
-residual ``lhs - rhs``.  A checker never "fixes" its inputs: parameters that
-violate the identity's hypotheses raise :class:`HypothesisError` naming the
-violated clause.
+residual ``lhs - rhs``.  The closed-form terms are assembled in integers: a
+kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), each
+kernel value is read by its numerator and denominator, and :func:`_fold`
+adds the terms over one denominator, so a side is one Fraction.  A checker
+never "fixes" its inputs: parameters that violate the identity's hypotheses
+raise :class:`HypothesisError` naming the violated clause.
 
 The identity tags understood by :func:`run_case`:
 
@@ -39,13 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bernoulli import (
-    bernoulli_function,
-    bernoulli_number,
-    carlitz_kernel,
-    sawtooth,
-)
-from .exact import binomial, format_rational, gcd_pos, is_integer, mod_inverse, sgn
+from .bernoulli import _bbar_pair, _carlitz_pair, bernoulli_number
+from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
 from .params import Params, coerce, declare, lookup
 from .sums import (
     _form,
@@ -153,9 +151,9 @@ class IdentityReport:
 def _report(identity: str, values: tuple, lhs: Fraction,
             rhs: Fraction, counter: Optional[int] = None) -> IdentityReport:
     # The case lists ``values`` under the identity's declared parameter names,
-    # then its flags (a flag's value is present only when it is set).
+    # then its flags (a flag's value is present only when it is set).  Both
+    # sides arrive as Fractions, so they are stored as they are.
     spec = IDENTITIES[identity]
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
     residual = lhs - rhs
     return IdentityReport(
         case=IdentityCase(identity, tuple(zip((*spec.params, *spec.flags), values))),
@@ -164,8 +162,37 @@ def _report(identity: str, values: tuple, lhs: Fraction,
     )
 
 
-def _dz(x: Fraction) -> int:
-    return 1 if is_integer(x) else 0
+def _fold(*terms) -> tuple[int, int]:
+    """The sum of ``terms`` as one integer pair ``(num, den)``, ``den != 0``.
+
+    A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
+    nonzero, of either sign) times each factor, an int or a Fraction (a
+    kernel value, a Bernoulli number, a lattice sum) read by its numerator
+    and denominator.  The terms add up over one running lcm of their
+    denominators and build no Fraction; a side is ``Fraction(*_fold(...))``,
+    one Fraction at the end.
+    """
+    num, den = 0, 1
+    for top, bottom, *factors in terms:
+        for f in factors:
+            top *= f.numerator
+            bottom *= f.denominator
+        if top:
+            g = math.gcd(den, bottom)
+            num, den = num * (bottom // g) + top * (den // g), den // g * bottom
+    return num, den
+
+
+def _arg(a: int, x: Fraction, b: int, y: Fraction, g: int = 1) -> tuple[int, int]:
+    # The kernel argument (a x + b y)/g as the integer pair (num, den), from
+    # the numerators and denominators of the shifts; den > 0 when g > 0.
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * xn * yd + b * yn * xd, g * xd * yd
+
+
+def _dz(num: int, den: int) -> int:
+    # delta_Z of num/den, for any integers with den != 0.
+    return 0 if num % den else 1
 
 
 def _kd(i: int, j: int) -> int:
@@ -208,7 +235,7 @@ def check_dedekind(a: int, b: int) -> IdentityReport:
     """s(a,b) + s(b,a) = -1/4 + (a/b + 1/(ab) + b/a)/12 for coprime a, b >= 1."""
     _require_moduli("dedekind", a=a, b=b)
     lhs = classical_s(a, b) + classical_s(b, a)
-    rhs = Fraction(-1, 4) + (Fraction(a, b) + Fraction(1, a * b) + Fraction(b, a)) / 12
+    rhs = Fraction(*_fold((-1, 4), (a, 12 * b), (1, 12 * a * b), (b, 12 * a)))
     return _report("dedekind", (a, b), lhs, rhs)
 
 
@@ -226,7 +253,7 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
     else:
         a1, b1, c1 = mod_inverse(a, b * c), mod_inverse(b, c * a), mod_inverse(c, a * b)
     lhs = classical_s(b * c1, a) + classical_s(c * a1, b) + classical_s(a * b1, c)
-    rhs = Fraction(-1, 4) + (Fraction(a, b * c) + Fraction(b, c * a) + Fraction(c, a * b)) / 12
+    rhs = Fraction(*_fold((-1, 4), (a, 12 * b * c), (b, 12 * c * a), (c, 12 * a * b)))
     return _report(ident, (a, b, c, True) if dieter else (a, b, c), lhs, rhs)
 
 
@@ -235,14 +262,15 @@ def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRepo
     ident = "rademacher15"
     _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
-    rhs = (
-        Fraction(-_dz(x) * _dz(y), 4)
-        + sawtooth(x) * sawtooth(y)
-        + a * bernoulli_function(2, y) / (2 * b)
-        + b * bernoulli_function(2, x) / (2 * a)
-        + bernoulli_function(2, a * y + b * x) / (2 * a * b)
-    )
+    rhs = Fraction(*_fold(
+        (-_dz(xn, xd) * _dz(yn, yd), 4),
+        (1, 1, _bbar_pair(1, xn, xd), _bbar_pair(1, yn, yd)),  # ((x)) ((y))
+        (a, 2 * b, _bbar_pair(2, yn, yd)),
+        (b, 2 * a, _bbar_pair(2, xn, xd)),
+        (1, 2 * a * b, _bbar_pair(2, *_arg(a, y, b, x))),
+    ))
     return _report(ident, (a, b, x, y), lhs, rhs)
 
 
@@ -254,15 +282,16 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
     ident = "eq319"
     _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     g = gcd_pos(a, b)
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
-    rhs = (
-        Fraction(-_dz(x) * _dz(y), 4)
-        + sawtooth(x) * sawtooth(y)
-        + a * bernoulli_function(2, y) / (2 * b)
-        + b * bernoulli_function(2, x) / (2 * a)
-        + g * g * bernoulli_function(2, (a * y + b * x) / g) / (2 * a * b)
-    )
+    rhs = Fraction(*_fold(
+        (-_dz(xn, xd) * _dz(yn, yd), 4),
+        (1, 1, _bbar_pair(1, xn, xd), _bbar_pair(1, yn, yd)),  # ((x)) ((y))
+        (a, 2 * b, _bbar_pair(2, yn, yd)),
+        (b, 2 * a, _bbar_pair(2, xn, xd)),
+        (g * g, 2 * a * b, _bbar_pair(2, *_arg(a, y, b, x, g))),
+    ))
     return _report(ident, (a, b, x, y), lhs, rhs)
 
 
@@ -278,12 +307,12 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
         + berndt_s(c, a, b, z, x, y)
     )
     gab, gbc, gca = gcd_pos(a, b), gcd_pos(b, c), gcd_pos(c, a)
-    rhs = (
-        Fraction(-n_count, 4)
-        + c * gab * gab * bernoulli_function(2, (a * y - b * x) / gab) / (2 * a * b)
-        + a * gbc * gbc * bernoulli_function(2, (b * z - c * y) / gbc) / (2 * b * c)
-        + b * gca * gca * bernoulli_function(2, (c * x - a * z) / gca) / (2 * c * a)
-    )
+    rhs = Fraction(*_fold(
+        (-n_count, 4),
+        (c * gab * gab, 2 * a * b, _bbar_pair(2, *_arg(a, y, -b, x, gab))),
+        (a * gbc * gbc, 2 * b * c, _bbar_pair(2, *_arg(b, z, -c, y, gbc))),
+        (b * gca * gca, 2 * c * a, _bbar_pair(2, *_arg(c, x, -a, z, gca))),
+    ))
     return _report(ident, (a, b, c, x, y, z), lhs, rhs, counter=n_count)
 
 
@@ -297,14 +326,12 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     _require(n >= 1, ident, "n >= 1")
     _require(n % 2 == 1, ident, "n odd")
     _require_moduli(ident, a=a, b=b)
-    lhs = a * b**n * apostol_s(n, a, b) + b * a**n * apostol_s(n, b, a)
-    acc = Fraction(0)
-    for j in range(n + 2):
-        acc += (
-            binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j)
-            * bernoulli_number(j) * bernoulli_number(n + 1 - j)
-        )
-    rhs = acc / (n + 1) + Fraction(n, n + 1) * bernoulli_number(n + 1)
+    lhs = Fraction(*_fold((a * b**n, 1, apostol_s(n, a, b)), (b * a**n, 1, apostol_s(n, b, a))))
+    rhs = Fraction(*_fold(
+        *((binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j), n + 1,
+           bernoulli_number(j), bernoulli_number(n + 1 - j)) for j in range(n + 2)),
+        (n, n + 1, bernoulli_number(n + 1)),
+    ))
     return _report(ident, (n, a, b), lhs, rhs)
 
 
@@ -314,14 +341,14 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
     _require(n >= 0, ident, "n >= 0")
     _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
-    lhs = a * b**n * carlitz_s(n, a, b, x, y) + b * a**n * carlitz_s(n, b, a, y, x)
-    acc = Fraction(0)
-    for j in range(n + 2):
-        acc += (
-            binomial(n + 1, j) * a**j * b ** (n + 1 - j)
-            * carlitz_kernel(j, y) * carlitz_kernel(n + 1 - j, x)
-        )
-    rhs = acc / (n + 1) + Fraction(n, n + 1) * carlitz_kernel(n + 1, a * y + b * x)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    lhs = Fraction(*_fold((a * b**n, 1, carlitz_s(n, a, b, x, y)),
+                          (b * a**n, 1, carlitz_s(n, b, a, y, x))))
+    rhs = Fraction(*_fold(
+        *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
+           _carlitz_pair(j, yn, yd), _carlitz_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
+        (n, n + 1, _carlitz_pair(n + 1, *_arg(a, y, b, x))),
+    ))
     return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
@@ -341,32 +368,32 @@ _inner_pair_sum.cache_clear = _lattice_sum.cache_clear
 
 
 def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
-                   term: Callable[[int, int], tuple[Fraction, int]], c: int = 1) -> Fraction:
+                   term: Callable[[int, int], tuple[Fraction, int]],
+                   c: int = 1) -> tuple[int, int]:
     # One half T(m,n,a,b) of a law T(m,n,a,b,...) +- T(n,m,b,a,...):
     #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k c^e S,
     # where term(j, k) = (S, e) is a lattice sum and an exponent of c, with
     # k = m+n-j and w_k = 1/k for the integral-level laws (Thm 3.1, Cor 3.2,
     # Thm 4.1), k = m+n-j-1 and w_k = 1 for the derivative-level ones.
     # ``scale`` is the law's global integer factor (a sign, sgn(b), a power
-    # of c).  Each summand is one integer over another: the coefficient, c^e
-    # for e >= 0 and the numerator of S above; k, c^-e for e < 0 and the
-    # denominator of S below.  They add up over one running lcm, and the side
-    # is the one Fraction built from the two integers at the end.
-    num, den = 0, 1
+    # of c).  Each summand is a term of _fold: the coefficient and c^e for
+    # e >= 0 above, k and c^-e for e < 0 below, times S.  The side is their
+    # integer pair (num, den), which the caller adds into its own _fold.
+    coeff = scale * n * b ** (n - 1)
+    terms = []
     for j in range(m + 1):
         k = m + n - j - 1 if derivative else m + n - j
         total, e = term(j, k)
-        top = math.comb(m, j) * a ** (m - j) * total.numerator
-        bottom = total.denominator if derivative else k * total.denominator
+        top = coeff * math.comb(m, j) * a ** (m - j)
+        bottom = 1 if derivative else k
         if j % 2:
             top = -top
         if e >= 0:
             top *= c ** e
         else:
             bottom *= c ** -e
-        g = math.gcd(den, bottom)
-        num, den = num * (bottom // g) + top * (den // g), den // g * bottom
-    return Fraction(scale * n * b ** (n - 1) * num, den)
+        terms.append((top, bottom, total))
+    return _fold(*terms)
 
 
 def check_thm31(m: int, n: int, a: int, b: int,
@@ -375,7 +402,8 @@ def check_thm31(m: int, n: int, a: int, b: int,
     ident = "thm31"
     _require_mn(ident, m, n, a=a, b=b)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    lhs = bernoulli_function(m, a * x + y) * bernoulli_function(n, b * x + z)
+    u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
+    lhs = _bbar_pair(m, *u) * _bbar_pair(n, *v)
 
     def side(m, n, a, b, y, z):
         return _binomial_side(
@@ -384,14 +412,12 @@ def check_thm31(m: int, n: int, a: int, b: int,
 
     g = gcd_pos(a, b)
     gcd_term = (
-        Fraction((-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * g ** (m + n),
-                 math.factorial(m + n))
-        * bernoulli_function(m + n, (b * y - a * z) / g)
-        / (a**n * b**m)
+        (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * g ** (m + n),
+        math.factorial(m + n) * a**n * b**m,
+        _bbar_pair(m + n, *_arg(b, y, -a, z, g)),
     )
-    delta_term = Fraction(
-        -_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(a * x + y) * _dz(b * x + z), 4)
-    rhs = side(m, n, a, b, y, z) + side(n, m, b, a, z, y) + gcd_term + delta_term
+    delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(*u) * _dz(*v), 4)
+    rhs = Fraction(*_fold(side(m, n, a, b, y, z), side(n, m, b, a, z, y), gcd_term, delta_term))
     return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
@@ -400,22 +426,22 @@ def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     ident = "cor32"
     _require_mn(ident, m, n, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
 
     def side(m, n, a, b, x, y):
         return _binomial_side(
             (-1) ** m * sgn(b), m, n, a, b, False,
             lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
 
-    lhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x)
+    lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x)))
     g = gcd_pos(a, b)
-    rhs = (
-        Fraction(-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(x) * _dz(y), 4)
-        + bernoulli_function(m, x) * bernoulli_function(n, y)
-        + Fraction(math.factorial(m) * math.factorial(n) * g ** (m + n),
-                   math.factorial(m + n))
-        * bernoulli_function(m + n, (a * y + b * x) / g)
-        / (a**n * b**m)
-    )
+    rhs = Fraction(*_fold(
+        (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(xn, xd) * _dz(yn, yd), 4),
+        (1, 1, _bbar_pair(m, xn, xd), _bbar_pair(n, yn, yd)),
+        (math.factorial(m) * math.factorial(n) * g ** (m + n),
+         math.factorial(m + n) * a**n * b**m,
+         _bbar_pair(m + n, *_arg(a, y, b, x, g))),
+    ))
     return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
@@ -425,20 +451,23 @@ def check_thm33(m: int, n: int, a: int, b: int,
     ident = "thm33"
     _require_mn(ident, m, n, a=a, b=b)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    lhs = (
-        m * a * bernoulli_function(m - 1, a * x + y) * bernoulli_function(n, b * x + z)
-        + n * b * bernoulli_function(m, a * x + y) * bernoulli_function(n - 1, b * x + z)
-    )
+    u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
 
     def side(m, n, a, b, y, z):
         return _binomial_side(
             sgn(b), m, n, a, b, True,
             lambda j, k: (_inner_pair_sum(j, k, a, b, y, z, x), 0))
 
+    # The sides first: their lattice sums refuse a modulus that is not an
+    # int (ValueError) before the kernel arguments below would use it.
+    first, second = side(m, n, a, b, y, z), side(n, m, b, a, z, y)
+    lhs = Fraction(*_fold(
+        (m * a, 1, _bbar_pair(m - 1, *u), _bbar_pair(n, *v)),
+        (n * b, 1, _bbar_pair(m, *u), _bbar_pair(n - 1, *v)),
+    ))
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
-    delta_term = Fraction(
-        -sgn(a * b) * _dz(a * x + y) * _dz(b * x + z) * weight, 4)
-    rhs = side(m, n, a, b, y, z) + side(n, m, b, a, z, y) + delta_term
+    delta_term = (-sgn(a * b) * _dz(*u) * _dz(*v) * weight, 4)
+    rhs = Fraction(*_fold(first, second, delta_term))
     return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
@@ -447,19 +476,20 @@ def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     ident = "cor34"
     _require_mn(ident, m, n, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
 
-    def side(m, n, a, b, x, y):
+    def side(m, n, a, b, x, y, sign=1):
         return _binomial_side(
-            (-1) ** m * sgn(b), m, n, a, b, True,
+            sign * (-1) ** m * sgn(b), m, n, a, b, True,
             lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
 
-    lhs = side(m, n, a, b, x, y) - side(n, m, b, a, y, x)
+    lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
-    rhs = (
-        Fraction(-sgn(a * b) * _dz(x) * _dz(y) * weight, 4)
-        + n * b * bernoulli_function(m, x) * bernoulli_function(n - 1, y)
-        - m * a * bernoulli_function(m - 1, x) * bernoulli_function(n, y)
-    )
+    rhs = Fraction(*_fold(
+        (-sgn(a * b) * _dz(xn, xd) * _dz(yn, yd) * weight, 4),
+        (n * b, 1, _bbar_pair(m, xn, xd), _bbar_pair(n - 1, yn, yd)),
+        (-m * a, 1, _bbar_pair(m - 1, xn, xd), _bbar_pair(n, yn, yd)),
+    ))
     return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
@@ -483,13 +513,12 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
 
     g = gcd_pos(a, b)
     gcd_term = (
-        Fraction((-1) ** (n - 1) * math.factorial(m) * math.factorial(n)
-                 * c * g ** (m + n) * sgn(c), math.factorial(m + n))
-        * bernoulli_function(m + n, (a * y - b * x) / g)
-        / (a**n * b**m)
+        (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * c * g ** (m + n) * sgn(c),
+        math.factorial(m + n) * a**n * b**m,
+        _bbar_pair(m + n, *_arg(a, y, -b, x, g)),
     )
-    delta_term = Fraction(-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
-    rhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x) + gcd_term + delta_term
+    delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
+    rhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x), gcd_term, delta_term))
     return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
@@ -499,21 +528,16 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
     _require(n >= 0, ident, "n >= 0")
     _require_moduli(ident, a=a, b=b)
     x, y = Fraction(x), Fraction(y)
-    lhs = a * b**n * s_n_two(n, a, b, x, y) + b * a**n * s_n_two(n, b, a, y, x)
-
-    acc = Fraction(0)
-    for j in range(n + 2):
-        acc += (
-            binomial(n + 1, j) * a**j * b ** (n + 1 - j)
-            * bernoulli_function(j, y) * bernoulli_function(n + 1 - j, x)
-        )
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    lhs = Fraction(*_fold((a * b**n, 1, s_n_two(n, a, b, x, y)),
+                          (b * a**n, 1, s_n_two(n, b, a, y, x))))
     g = gcd_pos(a, b)
-    rhs = (
-        Fraction(-_kd(1, n) * _dz(x) * _dz(y) * a * b, 4)
-        + acc / (n + 1)
-        + Fraction(n, n + 1) * g ** (n + 1)
-        * bernoulli_function(n + 1, (a * y + b * x) / g)
-    )
+    rhs = Fraction(*_fold(
+        (-_kd(1, n) * _dz(xn, xd) * _dz(yn, yd) * a * b, 4),
+        *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
+           _bbar_pair(j, yn, yd), _bbar_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
+        (n * g ** (n + 1), n + 1, _bbar_pair(n + 1, *_arg(a, y, b, x, g))),
+    ))
     return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
@@ -526,29 +550,23 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     _require_moduli(ident, a=a, b=b, c=c)
     n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
 
-    lhs = Fraction(0)
-    for j in range(1, r + 2):
-        lhs += (
-            binomial(p + 1, j) * binomial(p - j, p - 1 - r) * (-1) ** (j + 1)
-            * a**p * b ** (p + 1 - j) * c**j
-            * s_mn_plain(j, p + 1 - j, b, c, a)
-        )
-    for j in range(1, p - r + 1):
-        lhs += (
-            binomial(p + 1, j) * binomial(p - j, r) * (-1) ** (j + 1)
-            * a ** (p + 1 - j) * b**p * c**j
-            * s_mn_plain(j, p + 1 - j, a, c, b)
-        )
-    lhs += (
-        binomial(p + 1, r + 1) * a ** (r + 1) * b ** (p - r) * c**p
-        * s_mn_plain(p - r, r + 1, a, b, c)
-    )
+    lhs = Fraction(*_fold(
+        *((binomial(p + 1, j) * binomial(p - j, p - 1 - r) * (-1) ** (j + 1)
+           * a**p * b ** (p + 1 - j) * c**j, 1,
+           s_mn_plain(j, p + 1 - j, b, c, a)) for j in range(1, r + 2)),
+        *((binomial(p + 1, j) * binomial(p - j, r) * (-1) ** (j + 1)
+           * a ** (p + 1 - j) * b**p * c**j, 1,
+           s_mn_plain(j, p + 1 - j, a, c, b)) for j in range(1, p - r + 1)),
+        (binomial(p + 1, r + 1) * a ** (r + 1) * b ** (p - r) * c**p, 1,
+         s_mn_plain(p - r, r + 1, a, b, c)),
+    ))
 
-    rhs = (
-        binomial(p, r) * a ** (p + 1) * gcd_pos(b, c) ** (p + 1)
-        + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
-        + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1)
-    ) * bernoulli_number(p + 1) - Fraction(_kd(1, p) * a * b * c * n_hat, 2)
+    rhs = Fraction(*_fold(
+        (binomial(p, r) * a ** (p + 1) * gcd_pos(b, c) ** (p + 1)
+         + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
+         + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1), 1, bernoulli_number(p + 1)),
+        (-_kd(1, p) * a * b * c * n_hat, 2),
+    ))
     return _report(ident, (p, r, a, b, c), lhs, rhs, counter=n_hat)
 
 
@@ -559,10 +577,10 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
     _require_mn(ident, m, n, a=a, b=b, c=c)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     n_tilde = count_ladder(a, b, c, x, y, z)
-    lhs = (
-        m * a * hwz_s(m - 1, n, a, b, c, x, y, z)
-        + n * b * hwz_s(m, n - 1, a, b, c, x, y, z)
-    )
+    lhs = Fraction(*_fold(
+        (m * a, 1, hwz_s(m - 1, n, a, b, c, x, y, z)),
+        (n * b, 1, hwz_s(m, n - 1, a, b, c, x, y, z)),
+    ))
 
     def side(m, n, a, b, x, y):
         return _binomial_side(
@@ -570,8 +588,8 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
             lambda j, k: (hwz_s(j, k, a, c, b, x, z, y), 1 - k), c)
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
-    delta_term = Fraction(-sgn(a * b) * weight * n_tilde, 4)
-    rhs = side(m, n, a, b, x, y) + side(n, m, b, a, y, x) + delta_term
+    delta_term = (-sgn(a * b) * weight * n_tilde, 4)
+    rhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x), delta_term))
     return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
 
 
@@ -581,18 +599,18 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
     _require_mn(ident, m, n, a=a, b=b, c=c)
     n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
 
-    def side(m, n, a, b):
+    def side(m, n, a, b, sign=1):
         return _binomial_side(
-            (-1) ** m * c ** (m + 1), m, n, a, b, True,
+            sign * (-1) ** m * c ** (m + 1), m, n, a, b, True,
             lambda j, k: (s_mn_plain(j, k, a, c, b), j - m), c)
 
-    lhs = side(m, n, a, b) - side(n, m, b, a)
+    lhs = Fraction(*_fold(side(m, n, a, b), side(n, m, b, a, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
-    rhs = (
-        n * b * c ** (m + n - 1) * s_mn_plain(m, n - 1, a, -b, c)
-        - m * a * c ** (m + n - 1) * s_mn_plain(n, m - 1, b, -a, c)
-        - Fraction(weight * c * c * n_hat, 4)
-    )
+    rhs = Fraction(*_fold(
+        (n * b * c ** (m + n - 1), 1, s_mn_plain(m, n - 1, a, -b, c)),
+        (-m * a * c ** (m + n - 1), 1, s_mn_plain(n, m - 1, b, -a, c)),
+        (-weight * c * c * n_hat, 4),
+    ))
     return _report(ident, (m, n, a, b, c), lhs, rhs, counter=n_hat)
 
 

@@ -110,25 +110,28 @@ def _solve_linear(p: int, q: int, d: int) -> tuple[int, int] | None:
     return (-(q // g) * pow(p // g, -1, step)) % step, step
 
 
-# Dispatch rule.  hwz-type sums at N = 4001 with tops 23 and -19 and shifts
-# 1/3, -2/5, 1/7 (43 stretches) cost, per direct term and per piecewise
-# stretch, on a 2-core x86-64 KVM guest with Python 3.11.7 (the integer
-# routes, and in brackets the Fraction-per-term routes the rule was set by,
-# timed back to back):
+# Dispatch rule.  Each route forced on one lattice sum of N terms with S
+# stretches (forms (3t, q, 3N), tops t set for R = N/S terms per stretch;
+# one nonconstant factor, or two), cold and warm kernel memo, 2-core x86-64
+# KVM guest, Python 3.11.7.  The ratio R at which both routes cost the same:
 #
-#   m + n                        2          5          8         12
-#   direct, cold memo (us)   2.4 (37)   3.4 (56)   4.4 (77)   5.5 (102)
-#   direct, warm memo (us)   0.9 (8.5)  0.9 (9.4)  1.0 (11)   1.0 (12)
-#   piecewise stretch (us)    14 (27)    28 (46)    50 (74)    88 (125)
+#   N      factors   m+n = 2      m+n = 5      m+n = 8    (cold / warm)
+#   97        1      7.2 / 22     8.9 / 29    11.6 / >48
+#   97        2      5.1 / 36     8.9 / >48   17.8 / >48
+#   257       1      6.5 / 14     8.4 / 19     9.6 / 32
+#   257       2      3.9 / 16     5.5 / 35     7.4 / >48
+#   4001      1      5.6 / 11     6.8 / 14     8.6 / 24
+#   4001      2      3.7 / 13     6.5 / 16     5.8 / 47
 #
+# A direct term costs 0.8-2.7 us cold and 0.4-0.7 us warm, a stretch 4-25 us.
 # The rule takes the piecewise route when it covers at least (4 + m + n)
-# terms per stretch, and only from 64 terms up.  It was set when one stretch
-# cost about one cold term and 2 + 0.6 (m + n) warm ones, so that it beat
-# even a warm memo by about two.  A stretch now costs 6-16 cold terms and
-# 16-88 warm ones, so near the threshold the direct loop would be the faster
-# route; the rule is kept as it was until it is measured again.  Grid sweeps
-# over small moduli (every acceptance grid, |modulus| <= 30, and the identity
-# and CLI sweeps, |modulus| <= 9) stay below 64 terms and on the direct route.
+# terms per stretch (6, 9, 12 at m + n = 2, 5, 8), and only from 64 terms
+# up: the cold crossover, within its spread, while the warm one is 2-5 times
+# higher.  Which applies depends on whether an earlier sum over the same
+# denominator filled the kernel memo, which the rule cannot see, so no one
+# crossover shows and the constants stay.  Grid sweeps over small moduli
+# (every acceptance grid, |modulus| <= 30, and the identity and CLI sweeps,
+# |modulus| <= 9) stay below 64 terms and on the direct route.
 _PIECEWISE_MIN_TERMS = 64
 
 

@@ -1,5 +1,6 @@
 """Bernoulli numbers, polynomials, and periodized kernels against oracles."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,76 @@ class TestCacheObject:
             cache.number(-2)
         with pytest.raises(ValueError):
             cache.poly_row(-1)
+
+
+class TestIntegerPairKernels:
+    """The kernels at an integer pair (num, den), as the identity checkers call them.
+
+    The checkers pass arguments such as ``a x + y`` as unreduced pairs of
+    either sign and read the numerator and denominator off the value; that
+    value must be the oracle's, in lowest terms.
+    """
+
+    @staticmethod
+    def _check(n, num, den):
+        x = Fraction(num, den)
+        for kernel, oracle in ((bern_mod._bbar_pair, oracles.bbar_oracle),
+                               (bern_mod._carlitz_pair, oracles.carlitz_oracle)):
+            value = kernel(n, num, den)
+            assert type(value) is Fraction
+            assert value == oracle(n, x)
+            assert value.as_integer_ratio() == oracle(n, x).as_integer_ratio()
+
+    @given(st.integers(0, 8), st.integers(-60, 60),
+           st.integers(-12, 12).filter(bool), st.integers(1, 6))
+    def test_matches_oracles_at_any_pair(self, n, num, den, scale):
+        self._check(n, num * scale, den * scale)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("num, den", [
+        (0, 1), (0, -7), (6, 3), (-6, 3), (6, -3), (-12, -4),  # integer points
+        (1, -2), (-1, -2), (5, -3), (-7, 6), (14, -12), (3, 9),
+    ])
+    def test_signs_integer_points_and_low_orders(self, n, num, den):
+        self._check(n, num, den)
+
+    def test_degree_one_at_integers(self):
+        # 0 on the periodized kernel, B_1(0) = -1/2 on the raw one, whatever the sign
+        for num, den in ((0, 1), (4, -2), (-9, 3), (-10, -5)):
+            assert bern_mod._bbar_pair(1, num, den) == 0
+            assert bern_mod._carlitz_pair(1, num, den) == Fraction(-1, 2)
+
+
+class TestKernelAdmission:
+    """The public kernels take exact points only: an int (not a bool) or a Fraction."""
+
+    CALLS = [
+        lambda x: bernoulli_function(2, x),
+        lambda x: carlitz_kernel(2, x),
+        lambda x: bernoulli_poly(2, x),
+        sawtooth,
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("x", [0.1, 0.5, 2.0, float("nan"), True, "1/3", None,
+                                   Decimal("0.25")])
+    def test_inexact_point_rejected(self, call, x):
+        with pytest.raises(ValueError):
+            call(x)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_exact_points_accepted(self, call):
+        assert call(3) == call(Fraction(3))
+        assert call(Fraction(-7, 3)) == call(Fraction(-14, 6))
+
+    @pytest.mark.parametrize("fn", [bernoulli_function, carlitz_kernel, bernoulli_poly])
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_degree_must_be_an_int(self, fn, n):
+        with pytest.raises(ValueError):
+            fn(n, Fraction(1, 3))
+
+    def test_float_point_no_longer_runs_on_its_binary_value(self):
+        # 0.1 is 3602879701896397/2^55; its value would carry that denominator
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            bernoulli_function(2, 0.1)
+        assert bernoulli_function(2, Fraction(1, 10)) == Fraction(1, 6) - Fraction(9, 100)

@@ -1,5 +1,6 @@
 """Integer/rational primitive behavior and algebraic properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dedsums.exact import (
     binomial,
     floor_frac,
     format_rational,
+    frac,
     gcd_pos,
     is_integer,
     mod_inverse,
@@ -160,3 +162,28 @@ class TestExactArithmetic:
         s = (Fraction(a, b) + Fraction(c, d)) * (b * d)
         assert s == a * d + c * b
         assert s.denominator == 1
+
+
+class TestNoCopyOnFractions:
+    """The helpers skip the ``Fraction(x)`` copy of a Fraction; every input
+    still gives the result, or the exception, of copying it first."""
+
+    @staticmethod
+    def _outcome(fn, x):
+        try:
+            return fn(x)
+        except Exception as exc:  # the same exception type as before
+            return type(exc)
+
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), Fraction(4), 5, -2, True, 0.75, "9/4",
+                                   "-3", " 1/2 ", None, "x", float("inf")])
+    def test_same_result_as_a_copy_first(self, x):
+        reference = {
+            floor_frac: lambda v: (math.floor(Fraction(v)), Fraction(v) - math.floor(Fraction(v))),
+            frac: lambda v: Fraction(v) - math.floor(Fraction(v)),
+            is_integer: lambda v: Fraction(v).denominator == 1,
+            format_rational: lambda v: (str(Fraction(v).numerator) if Fraction(v).denominator == 1
+                                        else f"{Fraction(v).numerator}/{Fraction(v).denominator}"),
+        }
+        for fn, ref in reference.items():
+            assert self._outcome(fn, x) == self._outcome(ref, x)

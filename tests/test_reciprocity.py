@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dedsums
 import oracles
@@ -392,6 +394,17 @@ class TestDispatchAndReports:
             for _ in range(25):
                 rep = run_case(identity, random_case(identity, rng))
                 assert rep.passed, identity
+
+    @given(st.sampled_from(sorted(IDENTITIES)), st.integers(0, 2**32))
+    def test_sides_are_fractions_in_lowest_terms(self, identity, seed):
+        # Each side is built from integers and becomes a Fraction once; an
+        # unnormalized pair, or an int, must never reach the report.
+        rep = run_case(identity, random_case(identity, random.Random(seed)))
+        for v in (rep.lhs, rep.rhs, rep.residual):
+            assert type(v) is Fraction
+            # Fraction equality compares numerator and denominator as stored
+            assert v == Fraction(v.numerator, v.denominator)
+        assert rep.passed
 
     def test_registry_covers_all_identities(self):
         assert sorted(IDENTITIES) == sorted([
