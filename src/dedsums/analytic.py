@@ -22,11 +22,26 @@ class is streamed into a single ``math.fsum`` as one stepped range, in
 O(min(q, K)) memory.  ``fsum`` returns the exact sum of its terms rounded
 once, and each term is the same float operation on the same operands
 whatever order the terms come in, so the results are bit-reproducible and
-do not depend on how the terms are grouped.  Lemmas 2.4 and 2.7 share one
-core, :func:`_bilateral` (Lemma 2.4 is its x = 0 case), for their gates,
-reference and tolerance.  One constructor, :func:`_report`, sets every
-verdict, and a check's tolerance is final there.  An order whose float
-powers leave the double range raises ``ValueError``.
+do not depend on how the terms are grouped.
+
+The same fact lets a long window be split across two processes.  Where
+``os.fork`` exists, no other thread is alive and more than one CPU is
+usable, a window of at least ``_MIN_SPLIT`` terms (and eight per residue
+class on average) leaves the tail of each residue-class run to one forked
+child.  The child reduces its terms to an expansion: a few floats whose
+exact sum is the exact sum of its terms (Shewchuk, "Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates", DCG 18,
+1997), and returns it over a pipe.  The caller chains those floats after its
+own terms into the one ``fsum``, whose exact input sum, and so whose
+result, is unchanged.  The caller keeps O(min(q, K)) memory; the child holds
+one chunk of terms and a few parts.  No child process or pipe outlives a
+check, even one that raises.
+
+Lemmas 2.4 and 2.7 share one core, :func:`_bilateral` (Lemma 2.4 is its
+x = 0 case), for their gates, reference and tolerance.  One constructor,
+:func:`_report`, sets every verdict, and a check's tolerance is final
+there.  An order whose float powers leave the double range raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,11 +49,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from itertools import chain, islice
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
@@ -158,6 +175,111 @@ def _window_weights(weight: Callable[[int], complex], q: int, lo: int,
     return [weight(d) for d in range(lo, lo + min(q, hi - lo + 1))]
 
 
+# A window of at least _MIN_SPLIT terms is split between the caller and one
+# forked child, which gets the part of each residue-class run after the
+# caller's _OWN_SHARE; below that, a fork costs more than it saves.  The
+# child pays about 1.3x per term for its expansion, hence a caller's share
+# above one half.  The child folds its terms in chunks of _CHUNK.
+_MIN_SPLIT = 1 << 16
+_OWN_SHARE = 0.57
+_CHUNK = 1 << 13
+
+
+def _terms(runs: Sequence[tuple[float, range]], shift: float, power: int) -> Iterator[float]:
+    # The one place a term is computed: w / (d + shift) ** power.
+    return chain.from_iterable((w / (d + shift) ** power for d in span) for w, span in runs)
+
+
+def _expansion(xs: list) -> list:
+    """Floats whose exact sum is the exact sum of ``xs`` (which is consumed).
+
+    ``fsum(xs)`` is that sum rounded once; appending its negation leaves the
+    exact residual, whose ``fsum`` is the next part, until a residual is
+    zero.  Each part is at most half an ulp of the one before, so a handful
+    suffice.  The first part is kept even when it is zero: it is then the
+    zero ``fsum`` gives for ``xs``, sign included.
+    """
+    parts = [math.fsum(xs)]
+    while True:
+        xs.append(-parts[-1])
+        residual = math.fsum(xs)
+        if not residual:
+            return parts
+        parts.append(residual)
+
+
+def _may_fork() -> bool:
+    # A fork is safe only with no other thread (its locks would be copied
+    # held), and pays only with a second CPU to run the child on.
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Child:
+    """One share of a series, summed by a forked child into an exact expansion.
+
+    Entering forks the child when the share has any term.  Iterating reads
+    the child's parts from the pipe once it has finished; when there is no
+    child, or it failed, iterating yields the share's own terms computed
+    here instead, so an exception a term raises comes from the caller.
+    Leaving kills and reaps a child still running and closes the pipe.
+    """
+
+    def __init__(self, runs: Sequence[tuple[float, range]], shift: float, power: int):
+        self.terms = lambda: _terms(runs, shift, power)
+        self.pid = self.fd = None
+        self.empty = not any(span for _, span in runs)
+
+    def __enter__(self) -> "_Child":
+        if self.empty:
+            return self
+        self.fd, out = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: the share is summed here
+            os.close(out)
+            return self
+        if self.pid == 0:
+            status = 1
+            try:
+                from array import array
+                os.close(self.fd)
+                parts, terms = [], self.terms()
+                while xs := list(islice(terms, _CHUNK)):
+                    parts = _expansion(xs + parts)
+                with open(out, "wb") as pipe:
+                    pipe.write(array("d", parts).tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(out)
+        return self
+
+    def __iter__(self) -> Iterator[float]:
+        if self.pid is not None:
+            fd, self.fd = self.fd, None
+            with open(fd, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if status == 0:
+                return iter(memoryview(data).cast("d"))
+        return self.terms()
+
+    def __exit__(self, *exc) -> None:
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+
 def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int,
             pole: Optional[int] = None) -> float:
     """fsum of weights[(d - lo) % m] / (d + shift) ** power over lo <= d <= hi, d != pole.
@@ -170,6 +292,20 @@ def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int
     with glibc 2.36, ``t ** 2 != t * t`` for 652 of 4,000,000 terms
     ``t = d + r/b`` (d = 1..10^5, 40 random shifts with |r| <= 9 and
     1 <= b <= 9), so a "faster square" would change reported bits.
+
+    A window of at least ``_MIN_SPLIT`` terms and 8m, in a process that may
+    fork (``os.fork`` exists, no other thread is alive, more than one CPU is
+    usable), is split: the caller streams the first ``_OWN_SHARE`` of each
+    run, and one forked child (:class:`_Child`) sums the rest into an
+    expansion, floats with exactly the exact sum of its terms, which it
+    sends back over a pipe.  The parts are chained after the caller's terms
+    into the one ``fsum``; since ``fsum`` rounds the exact sum of what it is
+    given once, the result has the same bits as the unsplit stream.  The
+    unsplit stream is the same expression with an empty child share.  A
+    child that fails has its share recomputed by the caller, so its errors
+    surface here; an error in the caller's own share kills and reaps the
+    child.  The caller keeps O(m) memory and the child one chunk of
+    ``_CHUNK`` terms plus a few parts.
     """
     m = len(weights)
     if pole is not None and not lo <= pole <= hi:
@@ -180,8 +316,15 @@ def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int
             runs += [(w, range(lo + i, pole, m)), (w, range(pole + m, hi + 1, m))]
         else:
             runs.append((w, range(lo + i, hi + 1, m)))
-    return math.fsum(chain.from_iterable(
-        (w / (d + shift) ** power for d in span) for w, span in runs))
+    own, rest = runs, []
+    # Runs of fewer than 8 terms on average (q near the window's length or
+    # past it) stay whole: the child's share of each would be small, and
+    # cutting every run would cost about as much as summing it.
+    if hi - lo + 1 >= max(_MIN_SPLIT, 8 * m) and _may_fork():
+        own = [(w, span[:math.ceil(len(span) * _OWN_SHARE)]) for w, span in runs]
+        rest = [(w, span[len(mine):]) for (w, span), (_, mine) in zip(runs, own)]
+    with _Child(rest, shift, power) as child:
+        return math.fsum(chain(_terms(own, shift, power), child))
 
 
 def _complex_series(weights: Sequence[complex], shift: float, power: int, lo: int, hi: int,

@@ -111,11 +111,15 @@ _CACHE = BernoulliCache()
 
 def bernoulli_number(j: int) -> Fraction:
     """The j-th Bernoulli number B_j (convention B_j = B_j(0), B_1 = -1/2)."""
+    if type(j) is not int:
+        raise ValueError(f"Bernoulli number index must be an int, got {j!r}")
     return _CACHE.number(j)
 
 
 def bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of B_n(x), degree n first, degree 0 last."""
+    if type(n) is not int:
+        raise ValueError(f"degree must be an int, got {n!r}")
     return _CACHE.poly_row(n)
 
 

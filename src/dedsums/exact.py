@@ -42,11 +42,20 @@ def _as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _not_ints(fn: str, *values) -> ValueError:
+    # The integer helpers take ints, not bools: a float would end in a
+    # TypeError or run on its binary value, and True would pass for 1.
+    bad = next(v for v in values if type(v) is not int)
+    return ValueError(f"{fn} takes ints, got {bad!r}")
+
+
 def gcd_pos(a: int, b: int) -> int:
     """Positive greatest common divisor of ``|a|`` and ``|b|``.
 
     ``gcd_pos(a, 0) == abs(a)``; both arguments zero is a domain error.
     """
+    if type(a) is not int or type(b) is not int:
+        raise _not_ints("gcd_pos", a, b)
     if a == 0 and b == 0:
         raise ValueError("gcd_pos(0, 0) is undefined")
     return math.gcd(a, b)
@@ -84,6 +93,8 @@ def is_integer(x: Fraction) -> bool:
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0, zero outside 0 <= k <= n."""
+    if type(n) is not int or type(k) is not int:
+        raise _not_ints("binomial", n, k)
     if n < 0:
         raise ValueError("binomial requires n >= 0")
     if k < 0 or k > n:
@@ -97,6 +108,8 @@ def mod_inverse(a: int, m: int) -> int:
     Requires ``m >= 1`` and ``gcd(a, m) == 1``; for ``m == 1`` the inverse
     is 0, since every integer is congruent to 0 mod 1.
     """
+    if type(a) is not int or type(m) is not int:
+        raise _not_ints("mod_inverse", a, m)
     if m < 1:
         raise ValueError("mod_inverse requires m >= 1")
     if math.gcd(a, m) != 1:

@@ -8,7 +8,9 @@ get one bad value in place of a valid argument, and so do
 ``fourier_partial_complex``, which admits the arguments of ``fourier``, and
 the exact lemmas ``lemma22_exact`` and ``lemma28_exact``.  Every sum
 family, called directly, gets a float, a bool, a junk string or ``None`` in
-place of one argument.
+place of one argument, and so does each exact integer helper (``gcd_pos``,
+``binomial``, ``mod_inverse``, ``bernoulli_number``,
+``bernoulli_poly_coeffs``).
 The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
 subclasses) and, on the command line, exit code 2.  A report, a value or
 any other exception fails the test.
@@ -29,7 +31,8 @@ from dedsums import cli
 from dedsums import analytic
 from dedsums.analytic import (ANALYTIC_TARGETS, fourier_partial_complex, lemma22_exact,
                               lemma28_exact)
-from dedsums.exact import parse_rational
+from dedsums.bernoulli import bernoulli_number, bernoulli_poly_coeffs
+from dedsums.exact import binomial, gcd_pos, mod_inverse, parse_rational
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import SUM_FAMILIES, SumRequest
 
@@ -245,6 +248,36 @@ def test_exact_lemmas_reject_every_bad_value(call):
     (lemma28_exact, (2, "3")),
 ])
 def test_exact_lemmas_take_no_float_bool_or_junk(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+# A valid call of each exact integer helper.
+_HELPER_VALID = [(gcd_pos, (12, -18)), (binomial, (5, 2)), (mod_inverse, (3, 7)),
+                 (bernoulli_number, (4,)), (bernoulli_poly_coeffs, (3,))]
+
+
+@given(st.sampled_from(_HELPER_VALID), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_helpers_reject_every_bad_int(call, data):
+    fn, args = call
+    fn(*args)
+    args = list(args)
+    args[data.draw(st.integers(0, len(args) - 1))] = data.draw(BAD_INT)
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (gcd_pos, (2.0, 4)),                  # was TypeError
+    (binomial, (2.5, 1)),                 # was TypeError
+    (bernoulli_number, (2.0,)),           # was TypeError
+    (mod_inverse, (True, 3)),             # was 1
+    (bernoulli_poly_coeffs, (True,)),     # was the row of B_1
+    (binomial, (True, 1)),                # was 1
+    (gcd_pos, (Fraction(4), 6)),          # was TypeError
+])
+def test_exact_helpers_take_no_float_bool_or_fraction(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
 

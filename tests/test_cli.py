@@ -222,6 +222,31 @@ class TestAnalyticCommand:
                 "-x", "1/5", "-K", "3000")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_split_series_prints_the_bytes_of_the_unsplit_one(self, fmt, monkeypatch, capsys):
+        # At these K the series is split between the process and a forked
+        # child whenever two CPUs are usable; the bytes must not change.
+        from dedsums import analytic, cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        argvs = [["analytic", "lemma27", "-j", "2", "-b", "5", "-r", "-3", "-x", "2/7",
+                  "-K", "250000"], ["analytic", "zeta-even", "-j", "1", "-K", "300000"]]
+
+        def run():
+            out = []
+            for argv in argvs:
+                assert cli.main([*argv, "--format", fmt]) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        split = run()
+        assert len(forks) == 3   # the two parts of lemma27, and zeta_even
+        monkeypatch.setattr(analytic, "_MIN_SPLIT", 1 << 62)
+        assert run() == split
+        assert len(forks) == 3
+
 
 class TestWorkerCount:
     """A worker count that is not an integer >= 1 is a usage error of sweep."""
