@@ -8,8 +8,8 @@ independently and asserting a zero residual, and double-checks the convergent-se
 with tolerance-bounded floating-point truncations.
 
 Every sum family reads one bounded memo of lattice sums, keyed by integers;
-``clear_caches()`` drops it and the three other memos (``sums.count_ladder``
-and two kernel memos), and ``cache_stats()`` reports each one's use.
+``clear_caches()`` drops it and the two other memos (``sums.count_ladder``
+and the one kernel memo), and ``cache_stats()`` reports each one's use.
 """
 
 from .analytic import (

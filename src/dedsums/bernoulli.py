@@ -16,9 +16,11 @@ Numbers and coefficient rows are grown on demand by the defining recurrence
 ``B_j = B_j(0)``, so ``B_1 = -1/2``), memoized in a process-wide cache that
 is synchronized for concurrent use.  The same cache keeps each row in
 integers, scaled by the lcm ``L_n`` of the denominators of ``B_0..B_n``:
-``L_n d^n B_n(t/d)`` is an integer.  The exact sums add those integers and
-build one Fraction per sum; every other polynomial value is one of them
-over ``L_n d^n``.
+``L_n d^n B_n(t/d)`` is an integer.  One bounded memo holds these integers
+for ``0 <= t < d``; the lattice sums add them and build one Fraction per
+sum, the closed-form terms of the identity checks read them as integer
+pairs ``(L_n d^n K, L_n d^n)`` from :func:`_kernel_pair`, and the public
+kernels build their one Fraction from that pair.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial, floor_frac
+from .exact import binomial
 
 __all__ = [
     "BernoulliCache",
@@ -42,16 +44,17 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class BernoulliCache:
     """Grow-on-demand table of Bernoulli numbers and polynomial rows.
 
-    ``numbers[j]`` is B_j; ``poly_rows[n]`` holds the monomial coefficients
-    of B_n(x) ordered from degree n down to degree 0 (the coefficient of
-    x^(n-k) is C(n, k) * B_k).  Requesting index ``j`` fills every index up
-    to ``j``; growth is guarded by a lock, reads after fill are pure.
+    ``_numbers[j]`` is B_j; ``_rows[n]`` holds the monomial coefficients of
+    B_n(x) ordered from degree n down to degree 0 (the coefficient of
+    x^(n-k) is C(n, k) * B_k); ``_scaled[n]`` is that row in integers,
+    ``(L, L * _rows[n])`` with L the lcm of the denominators of B_0..B_n.
+    Requesting index ``j`` fills all three tables up to ``j`` in one locked
+    step; reads after fill are pure.
     """
 
     def __init__(self) -> None:
@@ -70,9 +73,11 @@ class BernoulliCache:
                     acc += binomial(k + 1, j) * bj
                 bk = -acc / (k + 1)
                 self._numbers.append(bk)
-                self._rows.append(
-                    tuple(binomial(k, i) * self._numbers[i] for i in range(k + 1))
-                )
+                row = tuple(binomial(k, i) * self._numbers[i] for i in range(k + 1))
+                self._rows.append(row)
+                lcm = math.lcm(self._scaled[-1][0], bk.denominator)
+                self._scaled.append((lcm, tuple(c.numerator * (lcm // c.denominator)
+                                                for c in row)))
 
     def number(self, j: int) -> Fraction:
         if j < 0:
@@ -96,13 +101,7 @@ class BernoulliCache:
         if n < 0:
             raise ValueError("Bernoulli polynomial degree must be >= 0")
         if n >= len(self._scaled):
-            self.poly_row(n)
-            with self._lock:
-                while len(self._scaled) <= n:
-                    k = len(self._scaled)
-                    lcm = math.lcm(self._scaled[-1][0], self._numbers[k].denominator)
-                    self._scaled.append((lcm, tuple(
-                        c.numerator * (lcm // c.denominator) for c in self._rows[k])))
+            self._grow(n)
         return self._scaled[n]
 
 
@@ -123,7 +122,7 @@ def bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     return _CACHE.poly_row(n)
 
 
-def _admit(x: Fraction, n: int = 1) -> None:
+def _admit(x: Fraction, n: int) -> None:
     # The public kernels take an int degree (not a bool) and an exact point,
     # an int (not a bool) or a Fraction; a float would run on its binary value.
     if type(n) is not int:
@@ -135,20 +134,26 @@ def _admit(x: Fraction, n: int = 1) -> None:
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Exact value of the Bernoulli polynomial B_n(x)."""
     _admit(x, n)
-    return _poly_value(n, x.numerator, x.denominator)
+    return Fraction(_scaled_poly(n, x.numerator, x.denominator), _scale(n, x.denominator))
 
 
 def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of d/dx B_n(x); equals n times the row of B_{n-1}."""
-    if n < 1:
-        raise ValueError("derivative row requires degree >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"derivative row requires an int degree >= 1, got {n!r}")
     row = _CACHE.poly_row(n)
     return tuple((n - i) * row[i] for i in range(n))
 
 
-# (L_n, (L_n C(n, k) B_k for k = 0..n)): one shared table per order, read
-# by both lattice routes (bound once: it is called per sum and per memo miss).
+# (L_n, (L_n C(n, k) B_k for k = 0..n)): one shared table per order, read by
+# both lattice routes and every kernel pair (bound once: it is called per sum,
+# per kernel pair and per memo miss).
 _scaled_row = _CACHE.scaled_row
+
+
+def _scale(n: int, d: int) -> int:
+    # L_n d^n: the denominator of every kernel value at a point t/d.
+    return _scaled_row(n)[0] * d ** n
 
 
 def _scaled_poly(n: int, t: int, d: int) -> int:
@@ -160,50 +165,34 @@ def _scaled_poly(n: int, t: int, d: int) -> int:
     return acc
 
 
-def _poly_value(n: int, tn: int, td: int) -> Fraction:
-    # B_n(tn/td) for any integer tn and td > 0: the integer above over L_n td^n.
-    return Fraction(_scaled_poly(n, tn, td), _scaled_row(n)[0] * td ** n)
+# The one kernel memo, read with 0 <= t < d: once per term by the direct
+# lattice route and once per kernel value by :func:`_kernel_pair`.  Int keys
+# and values hash and multiply fast; the bound keeps a direct-route sum over
+# a large modulus from growing it without limit.
+_poly_at_pair = lru_cache(maxsize=1 << 16)(_scaled_poly)
 
 
-# The kernel memo of the direct lattice route, read once per term with
-# 0 <= t < d; int keys and values hash and multiply fast.  The bound keeps a
-# direct-route sum over a large modulus from growing it without limit.
-_scaled_poly_at = lru_cache(maxsize=1 << 16)(_scaled_poly)
+def _kernel_pair(n: int, num: int, den: int, raw: bool = False) -> tuple[int, int]:
+    """``(L_n d^n K, L_n d^n)`` for the kernel value K at num/den, den != 0.
 
-
-# The kernel memo of the kernel functions below, which the closed-form terms
-# of the identity checks call, with tn/td a reduced fraction in [0, 1); int
-# keys hash much faster than Fraction keys, and hits dominate in grid sweeps.
-_poly_at_pair = lru_cache(maxsize=1 << 16)(_poly_value)
-
-
-def _bbar_pair(n: int, num: int, den: int) -> Fraction:
-    """Periodized kernel at num/den without constructing intermediate Fractions."""
-    if den < 0:
-        num, den = -num, -den
-    t = num % den
-    if t == 0:
-        return _ZERO if n == 1 else _poly_at_pair(n, 0, 1)
-    g = math.gcd(t, den)
-    return _poly_at_pair(n, t // g, den // g)
-
-
-def _carlitz_pair(n: int, num: int, den: int) -> Fraction:
-    """Raw polynomial kernel at the fractional part of num/den."""
+    ``d`` is the reduced denominator of num/den.  K is the periodized kernel
+    (0 at integers in degree 1), or the raw kernel B_n({num/den}) when
+    ``raw`` is set.
+    """
     if den < 0:
         num, den = -num, -den
     t = num % den
     g = math.gcd(t, den)
-    return _poly_at_pair(n, t // g, den // g)
+    t, den = t // g, den // g
+    scale = _scale(n, den)
+    if t == 0 and n == 1 and not raw:
+        return 0, scale
+    return _poly_at_pair(n, t, den), scale
 
 
 def sawtooth(x: Fraction) -> Fraction:
     """The sawtooth ((x)): 0 at integers, {x} - 1/2 elsewhere."""
-    _admit(x)
-    _, t = floor_frac(x)
-    if t == 0:
-        return _ZERO
-    return t - _HALF
+    return bernoulli_function(1, x)
 
 
 def bernoulli_function(n: int, x: Fraction) -> Fraction:
@@ -215,7 +204,7 @@ def bernoulli_function(n: int, x: Fraction) -> Fraction:
     _admit(x, n)
     if n < 0:
         raise ValueError("Bernoulli function index must be >= 0")
-    return _bbar_pair(n, x.numerator, x.denominator)
+    return Fraction(*_kernel_pair(n, x.numerator, x.denominator))
 
 
 def carlitz_kernel(n: int, x: Fraction) -> Fraction:
@@ -223,10 +212,9 @@ def carlitz_kernel(n: int, x: Fraction) -> Fraction:
     _admit(x, n)
     if n < 0:
         raise ValueError("kernel index must be >= 0")
-    return _carlitz_pair(n, x.numerator, x.denominator)
+    return Fraction(*_kernel_pair(n, x.numerator, x.denominator, True))
 
 
 def clear_eval_cache() -> None:
     """Drop memoized kernel evaluations (used to bound memory in long sweeps)."""
     _poly_at_pair.cache_clear()
-    _scaled_poly_at.cache_clear()

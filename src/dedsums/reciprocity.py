@@ -6,11 +6,11 @@ structurally independent routes -- the lattice-sum families from
 which regroup the defining sum), closed-form Bernoulli/gcd/lattice-counter
 expressions on the other -- and returns both values together with the exact
 residual ``lhs - rhs``.  The closed-form terms are assembled in integers: a
-kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), each
-kernel value is read by its numerator and denominator, and :func:`_fold`
-adds the terms over one denominator, so a side is one Fraction.  A checker
-never "fixes" its inputs: parameters that violate the identity's hypotheses
-raise :class:`HypothesisError` naming the violated clause.
+kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), and
+so is each kernel value; :func:`_fold` adds the terms over one denominator,
+so a side is one Fraction.  A checker never "fixes" its inputs: parameters
+that violate the identity's hypotheses raise :class:`HypothesisError`
+naming the violated clause.
 
 The identity tags understood by :func:`run_case`:
 
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bernoulli import _bbar_pair, _carlitz_pair, bernoulli_number
+from .bernoulli import _kernel_pair, bernoulli_number
 from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
 from .params import Params, coerce, declare, lookup
 from .sums import (
@@ -166,17 +166,18 @@ def _fold(*terms) -> tuple[int, int]:
     """The sum of ``terms`` as one integer pair ``(num, den)``, ``den != 0``.
 
     A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
-    nonzero, of either sign) times each factor, an int or a Fraction (a
-    kernel value, a Bernoulli number, a lattice sum) read by its numerator
-    and denominator.  The terms add up over one running lcm of their
-    denominators and build no Fraction; a side is ``Fraction(*_fold(...))``,
-    one Fraction at the end.
+    nonzero, of either sign) times each factor: an integer pair (a kernel
+    value from :func:`_kernel_pair`), an int or a Fraction (a Bernoulli
+    number, a lattice sum), each read by numerator and denominator.  The
+    terms add up over one running lcm of their denominators and build no
+    Fraction; a side is ``Fraction(*_fold(...))``, one Fraction at the end.
     """
     num, den = 0, 1
     for top, bottom, *factors in terms:
         for f in factors:
-            top *= f.numerator
-            bottom *= f.denominator
+            fn, fd = f if type(f) is tuple else (f.numerator, f.denominator)
+            top *= fn
+            bottom *= fd
         if top:
             g = math.gcd(den, bottom)
             num, den = num * (bottom // g) + top * (den // g), den // g * bottom
@@ -266,10 +267,10 @@ def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRepo
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
     rhs = Fraction(*_fold(
         (-_dz(xn, xd) * _dz(yn, yd), 4),
-        (1, 1, _bbar_pair(1, xn, xd), _bbar_pair(1, yn, yd)),  # ((x)) ((y))
-        (a, 2 * b, _bbar_pair(2, yn, yd)),
-        (b, 2 * a, _bbar_pair(2, xn, xd)),
-        (1, 2 * a * b, _bbar_pair(2, *_arg(a, y, b, x))),
+        (1, 1, _kernel_pair(1, xn, xd), _kernel_pair(1, yn, yd)),  # ((x)) ((y))
+        (a, 2 * b, _kernel_pair(2, yn, yd)),
+        (b, 2 * a, _kernel_pair(2, xn, xd)),
+        (1, 2 * a * b, _kernel_pair(2, *_arg(a, y, b, x))),
     ))
     return _report(ident, (a, b, x, y), lhs, rhs)
 
@@ -287,10 +288,10 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
     rhs = Fraction(*_fold(
         (-_dz(xn, xd) * _dz(yn, yd), 4),
-        (1, 1, _bbar_pair(1, xn, xd), _bbar_pair(1, yn, yd)),  # ((x)) ((y))
-        (a, 2 * b, _bbar_pair(2, yn, yd)),
-        (b, 2 * a, _bbar_pair(2, xn, xd)),
-        (g * g, 2 * a * b, _bbar_pair(2, *_arg(a, y, b, x, g))),
+        (1, 1, _kernel_pair(1, xn, xd), _kernel_pair(1, yn, yd)),  # ((x)) ((y))
+        (a, 2 * b, _kernel_pair(2, yn, yd)),
+        (b, 2 * a, _kernel_pair(2, xn, xd)),
+        (g * g, 2 * a * b, _kernel_pair(2, *_arg(a, y, b, x, g))),
     ))
     return _report(ident, (a, b, x, y), lhs, rhs)
 
@@ -309,9 +310,9 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     gab, gbc, gca = gcd_pos(a, b), gcd_pos(b, c), gcd_pos(c, a)
     rhs = Fraction(*_fold(
         (-n_count, 4),
-        (c * gab * gab, 2 * a * b, _bbar_pair(2, *_arg(a, y, -b, x, gab))),
-        (a * gbc * gbc, 2 * b * c, _bbar_pair(2, *_arg(b, z, -c, y, gbc))),
-        (b * gca * gca, 2 * c * a, _bbar_pair(2, *_arg(c, x, -a, z, gca))),
+        (c * gab * gab, 2 * a * b, _kernel_pair(2, *_arg(a, y, -b, x, gab))),
+        (a * gbc * gbc, 2 * b * c, _kernel_pair(2, *_arg(b, z, -c, y, gbc))),
+        (b * gca * gca, 2 * c * a, _kernel_pair(2, *_arg(c, x, -a, z, gca))),
     ))
     return _report(ident, (a, b, c, x, y, z), lhs, rhs, counter=n_count)
 
@@ -346,8 +347,9 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
                           (b * a**n, 1, carlitz_s(n, b, a, y, x))))
     rhs = Fraction(*_fold(
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
-           _carlitz_pair(j, yn, yd), _carlitz_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
-        (n, n + 1, _carlitz_pair(n + 1, *_arg(a, y, b, x))),
+           _kernel_pair(j, yn, yd, True), _kernel_pair(n + 1 - j, xn, xd, True))
+          for j in range(n + 2)),
+        (n, n + 1, _kernel_pair(n + 1, *_arg(a, y, b, x), True)),
     ))
     return _report(ident, (n, a, b, x, y), lhs, rhs)
 
@@ -403,7 +405,7 @@ def check_thm31(m: int, n: int, a: int, b: int,
     _require_mn(ident, m, n, a=a, b=b)
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
-    lhs = _bbar_pair(m, *u) * _bbar_pair(n, *v)
+    lhs = Fraction(*_fold((1, 1, _kernel_pair(m, *u), _kernel_pair(n, *v))))
 
     def side(m, n, a, b, y, z):
         return _binomial_side(
@@ -414,7 +416,7 @@ def check_thm31(m: int, n: int, a: int, b: int,
     gcd_term = (
         (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * g ** (m + n),
         math.factorial(m + n) * a**n * b**m,
-        _bbar_pair(m + n, *_arg(b, y, -a, z, g)),
+        _kernel_pair(m + n, *_arg(b, y, -a, z, g)),
     )
     delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(*u) * _dz(*v), 4)
     rhs = Fraction(*_fold(side(m, n, a, b, y, z), side(n, m, b, a, z, y), gcd_term, delta_term))
@@ -437,10 +439,10 @@ def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     g = gcd_pos(a, b)
     rhs = Fraction(*_fold(
         (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(xn, xd) * _dz(yn, yd), 4),
-        (1, 1, _bbar_pair(m, xn, xd), _bbar_pair(n, yn, yd)),
+        (1, 1, _kernel_pair(m, xn, xd), _kernel_pair(n, yn, yd)),
         (math.factorial(m) * math.factorial(n) * g ** (m + n),
          math.factorial(m + n) * a**n * b**m,
-         _bbar_pair(m + n, *_arg(a, y, b, x, g))),
+         _kernel_pair(m + n, *_arg(a, y, b, x, g))),
     ))
     return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
@@ -462,8 +464,8 @@ def check_thm33(m: int, n: int, a: int, b: int,
     # int (ValueError) before the kernel arguments below would use it.
     first, second = side(m, n, a, b, y, z), side(n, m, b, a, z, y)
     lhs = Fraction(*_fold(
-        (m * a, 1, _bbar_pair(m - 1, *u), _bbar_pair(n, *v)),
-        (n * b, 1, _bbar_pair(m, *u), _bbar_pair(n - 1, *v)),
+        (m * a, 1, _kernel_pair(m - 1, *u), _kernel_pair(n, *v)),
+        (n * b, 1, _kernel_pair(m, *u), _kernel_pair(n - 1, *v)),
     ))
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = (-sgn(a * b) * _dz(*u) * _dz(*v) * weight, 4)
@@ -487,8 +489,8 @@ def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
     rhs = Fraction(*_fold(
         (-sgn(a * b) * _dz(xn, xd) * _dz(yn, yd) * weight, 4),
-        (n * b, 1, _bbar_pair(m, xn, xd), _bbar_pair(n - 1, yn, yd)),
-        (-m * a, 1, _bbar_pair(m - 1, xn, xd), _bbar_pair(n, yn, yd)),
+        (n * b, 1, _kernel_pair(m, xn, xd), _kernel_pair(n - 1, yn, yd)),
+        (-m * a, 1, _kernel_pair(m - 1, xn, xd), _kernel_pair(n, yn, yd)),
     ))
     return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
@@ -515,7 +517,7 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
     gcd_term = (
         (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * c * g ** (m + n) * sgn(c),
         math.factorial(m + n) * a**n * b**m,
-        _bbar_pair(m + n, *_arg(a, y, -b, x, g)),
+        _kernel_pair(m + n, *_arg(a, y, -b, x, g)),
     )
     delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
     rhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x), gcd_term, delta_term))
@@ -535,8 +537,8 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
     rhs = Fraction(*_fold(
         (-_kd(1, n) * _dz(xn, xd) * _dz(yn, yd) * a * b, 4),
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
-           _bbar_pair(j, yn, yd), _bbar_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
-        (n * g ** (n + 1), n + 1, _bbar_pair(n + 1, *_arg(a, y, b, x, g))),
+           _kernel_pair(j, yn, yd), _kernel_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
+        (n * g ** (n + 1), n + 1, _kernel_pair(n + 1, *_arg(a, y, b, x, g))),
     ))
     return _report(ident, (n, a, b, x, y), lhs, rhs)
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .bernoulli import _poly_at_pair, _scaled_poly, _scaled_poly_at, _scaled_row
+from .bernoulli import _poly_at_pair, _scale, _scaled_poly, _scaled_row
 from .exact import floor_frac, format_rational
 from .params import Params, coerce, declare, lookup
 
@@ -165,11 +165,12 @@ def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, i
         if _piecewise_pays(m, n, stretches, count):
             return _piecewise_sum(m, f1, n, f2, count, raw)
     # Each term is k1 k2 over the fixed denominator L_m d1^m L_n d2^n, k being
-    # the integer kernel value L d^order K(t/d) at t = num mod d from the memo;
-    # the periodized degree-1 kernel is 0, not B_1(0) = -1/2, at t = 0.
+    # the integer kernel value L d^order K(t/d) at t = num mod d from the one
+    # kernel memo, which the closed-form terms of the checks read too; the
+    # periodized degree-1 kernel is 0, not B_1(0) = -1/2, at t = 0.
     (p1, t1, d1), (p2, t2, d2) = f1, f2
     zero1, zero2 = m == 1 and not raw, n == 1 and not raw
-    kernel = _scaled_poly_at
+    kernel = _poly_at_pair
     acc = 0
     for _ in range(count):
         t1 = (t1 + p1) % d1
@@ -177,11 +178,6 @@ def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, i
         if (t1 or not zero1) and (t2 or not zero2):
             acc += kernel(m, t1, d1) * kernel(n, t2, d2)
     return Fraction(acc, _scale(m, d1) * _scale(n, d2))
-
-
-def _scale(order: int, den: int) -> int:
-    # L den^order: the denominator of a factor's kernel values on both routes.
-    return _scaled_row(order)[0] * den ** order
 
 
 def _kernel_numerator(order: int, num: int, den: int, raw: bool) -> int:
@@ -477,10 +473,9 @@ for _spec in SUM_FAMILIES.values():
 
 
 def memos() -> dict[str, Callable]:
-    """Every memo of this layer and the two kernel memos below it, by qualified name."""
+    """Every memo of this layer and the one kernel memo below it, by qualified name."""
     return {"sums._lattice_sum": _lattice_sum, "sums.count_ladder": count_ladder,
-            "bernoulli._poly_at_pair": _poly_at_pair,
-            "bernoulli._scaled_poly_at": _scaled_poly_at}
+            "bernoulli._poly_at_pair": _poly_at_pair}
 
 
 def clear_caches() -> None:
@@ -494,8 +489,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
     The names are those of :func:`memos`: ``sums._lattice_sum``, the one memo
     of every family and of ``reciprocity._inner_pair_sum``, then
-    ``sums.count_ladder``, ``bernoulli._poly_at_pair`` and
-    ``bernoulli._scaled_poly_at``.
+    ``sums.count_ladder`` and ``bernoulli._poly_at_pair``, the kernel memo
+    that the lattice sums and the closed-form terms of the checks share.
     """
     stats = {}
     for name, memo in memos().items():

@@ -1,5 +1,6 @@
 """Bernoulli numbers, polynomials, and periodized kernels against oracles."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,6 +23,12 @@ from dedsums.bernoulli import (
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=24)
+
+
+def _lcm_denominators(n):
+    # L_n, the lcm of the denominators of B_0..B_n, from the oracle's numbers
+    return math.lcm(*(oracles.worpitzky_poly(j, Fraction(0)).denominator
+                      for j in range(n + 1)))
 
 
 class TestNumbers:
@@ -62,11 +69,13 @@ class TestPolynomials:
 
     @given(st.integers(0, 12), rationals)
     def test_integer_evaluator_matches_worpitzky(self, n, x):
-        # B_n(t/d) as the integer L_n d^n B_n(t/d) over L_n d^n, at any sign of t
+        # B_n(x) at any sign of x; the kernel memo holds the integer
+        # L_n d^n B_n(t/d) at the fractional part t/d
         assert bernoulli_poly(n, x) == oracles.worpitzky_poly(n, x)
         t = x - (x.numerator // x.denominator)
-        assert bern_mod._poly_at_pair(n, t.numerator, t.denominator) == \
-            oracles.worpitzky_poly(n, t)
+        value = bern_mod._poly_at_pair(n, t.numerator, t.denominator)
+        assert type(value) is int
+        assert value == oracles.worpitzky_poly(n, t) * _lcm_denominators(n) * t.denominator ** n
 
     def test_row_evaluations_match_numbers(self):
         # row at 0 gives B_n; row at 1 gives B_n + [n == 1]
@@ -108,6 +117,10 @@ class TestSawtooth:
 
     def test_reflection(self):
         assert sawtooth(Fraction(-1, 3)) == Fraction(1, 6)
+
+    @given(st.fractions())
+    def test_matches_oracle(self, x):
+        assert sawtooth(x) == oracles.sawtooth_oracle(x)
 
 
 class TestPeriodizedKernel:
@@ -183,19 +196,19 @@ class TestIntegerPairKernels:
     """The kernels at an integer pair (num, den), as the identity checkers call them.
 
     The checkers pass arguments such as ``a x + y`` as unreduced pairs of
-    either sign and read the numerator and denominator off the value; that
-    value must be the oracle's, in lowest terms.
+    either sign and multiply the integer pair ``(L_n d^n K, L_n d^n)`` into
+    their terms, ``d`` the reduced denominator: its ratio must be the
+    oracle's value.
     """
 
     @staticmethod
     def _check(n, num, den):
         x = Fraction(num, den)
-        for kernel, oracle in ((bern_mod._bbar_pair, oracles.bbar_oracle),
-                               (bern_mod._carlitz_pair, oracles.carlitz_oracle)):
-            value = kernel(n, num, den)
-            assert type(value) is Fraction
-            assert value == oracle(n, x)
-            assert value.as_integer_ratio() == oracle(n, x).as_integer_ratio()
+        for raw, oracle in ((False, oracles.bbar_oracle), (True, oracles.carlitz_oracle)):
+            top, bottom = bern_mod._kernel_pair(n, num, den, raw)
+            assert type(top) is int and type(bottom) is int
+            assert Fraction(top, bottom) == oracle(n, x)
+            assert bottom == _lcm_denominators(n) * x.denominator ** n
 
     @given(st.integers(0, 8), st.integers(-60, 60),
            st.integers(-12, 12).filter(bool), st.integers(1, 6))
@@ -213,8 +226,8 @@ class TestIntegerPairKernels:
     def test_degree_one_at_integers(self):
         # 0 on the periodized kernel, B_1(0) = -1/2 on the raw one, whatever the sign
         for num, den in ((0, 1), (4, -2), (-9, 3), (-10, -5)):
-            assert bern_mod._bbar_pair(1, num, den) == 0
-            assert bern_mod._carlitz_pair(1, num, den) == Fraction(-1, 2)
+            assert Fraction(*bern_mod._kernel_pair(1, num, den)) == 0
+            assert Fraction(*bern_mod._kernel_pair(1, num, den, True)) == Fraction(-1, 2)
 
 
 class TestKernelAdmission:

@@ -10,7 +10,7 @@ the exact lemmas ``lemma22_exact`` and ``lemma28_exact``.  Every sum
 family, called directly, gets a float, a bool, a junk string or ``None`` in
 place of one argument, and so does each exact integer helper (``gcd_pos``,
 ``binomial``, ``mod_inverse``, ``bernoulli_number``,
-``bernoulli_poly_coeffs``).
+``bernoulli_poly_coeffs``, ``bernoulli_poly_derivative_coeffs``).
 The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
 subclasses) and, on the command line, exit code 2.  A report, a value or
 any other exception fails the test.
@@ -31,7 +31,8 @@ from dedsums import cli
 from dedsums import analytic
 from dedsums.analytic import (ANALYTIC_TARGETS, fourier_partial_complex, lemma22_exact,
                               lemma28_exact)
-from dedsums.bernoulli import bernoulli_number, bernoulli_poly_coeffs
+from dedsums.bernoulli import (bernoulli_number, bernoulli_poly_coeffs,
+                               bernoulli_poly_derivative_coeffs)
 from dedsums.exact import binomial, gcd_pos, mod_inverse, parse_rational
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import SUM_FAMILIES, SumRequest
@@ -254,7 +255,8 @@ def test_exact_lemmas_take_no_float_bool_or_junk(fn, args):
 
 # A valid call of each exact integer helper.
 _HELPER_VALID = [(gcd_pos, (12, -18)), (binomial, (5, 2)), (mod_inverse, (3, 7)),
-                 (bernoulli_number, (4,)), (bernoulli_poly_coeffs, (3,))]
+                 (bernoulli_number, (4,)), (bernoulli_poly_coeffs, (3,)),
+                 (bernoulli_poly_derivative_coeffs, (3,))]
 
 
 @given(st.sampled_from(_HELPER_VALID), st.data())
@@ -276,6 +278,8 @@ def test_exact_helpers_reject_every_bad_int(call, data):
     (bernoulli_poly_coeffs, (True,)),     # was the row of B_1
     (binomial, (True, 1)),                # was 1
     (gcd_pos, (Fraction(4), 6)),          # was TypeError
+    (bernoulli_poly_derivative_coeffs, (True,)),  # was the derivative row of B_1
+    (bernoulli_poly_derivative_coeffs, (2.0,)),   # was TypeError
 ])
 def test_exact_helpers_take_no_float_bool_or_fraction(fn, args):
     with pytest.raises(ValueError):

@@ -505,12 +505,10 @@ class TestClearCaches:
     def test_three_clear_functions_empty_every_memo(self):
         run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
                            "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
-        assert bern_mod._scaled_poly_at.cache_info().currsize > 0
         assert bern_mod._poly_at_pair.cache_info().currsize > 0
         sums_mod.clear_caches()
         rec_mod.clear_caches()
         bern_mod.clear_eval_cache()
-        assert bern_mod._scaled_poly_at.cache_info().currsize == 0
         assert bern_mod._poly_at_pair.cache_info().currsize == 0
 
     def test_reciprocity_clear_alone_empties_every_memo(self):
@@ -520,22 +518,19 @@ class TestClearCaches:
         sums_mod.hwz_s(2, 3, 1005, 1006, 2011, F(1, 3), ZERO, F(1, 7))
         run_case("thm41", {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
                            "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)})
-        memos = [bern_mod._scaled_poly_at, bern_mod._poly_at_pair, rec_mod._inner_pair_sum,
-                 sums_mod.count_ladder,
+        memos = [bern_mod._poly_at_pair, rec_mod._inner_pair_sum, sums_mod.count_ladder,
                  *(spec.fn for spec in sums_mod.SUM_FAMILIES.values())]
-        assert bern_mod._scaled_poly_at.cache_info().currsize > 4000
+        assert bern_mod._poly_at_pair.cache_info().currsize > 4000
         rec_mod.clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
     def test_kernel_memo_is_bounded(self):
         assert bern_mod._poly_at_pair.cache_info().maxsize == 1 << 16
-        assert bern_mod._scaled_poly_at.cache_info().maxsize == 1 << 16
 
     def test_package_clear_and_stats_cover_every_memo(self):
         memos = {"sums._lattice_sum": sums_mod._lattice_sum,
                  "sums.count_ladder": sums_mod.count_ladder,
-                 "bernoulli._poly_at_pair": bern_mod._poly_at_pair,
-                 "bernoulli._scaled_poly_at": bern_mod._scaled_poly_at}
+                 "bernoulli._poly_at_pair": bern_mod._poly_at_pair}
         dedsums.clear_caches()
         case = {"m": 2, "n": 3, "a": 2, "b": -3, "c": 5,
                 "x": F(1, 3), "y": F(1, 2), "z": F(-2, 7)}

@@ -520,7 +520,7 @@ class TestRoutes:
         t0 = time.perf_counter()
         hwz_s(2, 3, 1, 2, 200003, F(1, 3), ZERO, F(1, 7))
         elapsed = time.perf_counter() - t0
-        entries = bern_mod._scaled_poly_at.cache_info().currsize
+        entries = bern_mod._poly_at_pair.cache_info().currsize
         _clear_all()
         assert entries < 1000
         assert elapsed < 1.0
