@@ -17,25 +17,30 @@ conditionally convergent degree-1 cases telescope; undefined terms (poles)
 are excluded.  Every series runs through one core, :func:`_series`: a
 summand's weight depends only on d mod q (the denominator of the phase, 1
 for unit weights), so the weights of the residues the window reaches are
-tabulated once (at most min(q, window length) of them) and each residue
-class is streamed into a single ``math.fsum`` as one stepped range, in
-O(min(q, K)) memory.  ``fsum`` returns the exact sum of its terms rounded
-once, and each term is the same float operation on the same operands
-whatever order the terms come in, so the results are bit-reproducible and
-do not depend on how the terms are grouped.
+tabulated once (at most min(q, window length) of them).  With eight or more
+terms per residue class on average, each class is streamed into a single
+``math.fsum`` as one stepped range; a shorter window is streamed in order of
+d, taking the weights in turn.  Memory is O(min(q, K)).  ``fsum`` returns
+the exact sum of its terms rounded once, and each term is the same float
+operation on the same operands whatever order the terms come in, so the
+results are bit-reproducible and do not depend on how the terms are
+grouped.  A complex series is two such sums, one per part, and the Fourier
+check sums only the part its real target reads.
 
 The same fact lets a long window be split across two processes.  Where
 ``os.fork`` exists, no other thread is alive and more than one CPU is
 usable, a window of at least ``_MIN_SPLIT`` terms (and eight per residue
-class on average) leaves the tail of each residue-class run to one forked
-child.  The child reduces its terms to an expansion: a few floats whose
-exact sum is the exact sum of its terms (Shewchuk, "Adaptive Precision
-Floating-Point Arithmetic and Fast Robust Geometric Predicates", DCG 18,
-1997), and returns it over a pipe.  The caller chains those floats after its
-own terms into the one ``fsum``, whose exact input sum, and so whose
-result, is unchanged.  The caller keeps O(min(q, K)) memory; the child holds
-one chunk of terms and a few parts.  No child process or pipe outlives a
-check, even one that raises.
+class on average) is shared with one forked child.  In a real series the
+child takes the tail of each residue-class run and reduces its terms to an
+expansion: a few floats whose exact sum is the exact sum of its terms
+(Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+Geometric Predicates", DCG 18, 1997), and returns it over a pipe.  The
+caller chains those floats after its own terms into the one ``fsum``, whose
+exact input sum, and so whose result, is unchanged.  In a complex series the
+child sums the whole imaginary part with one ``fsum`` and returns that
+float, while the caller sums the real part.  The caller keeps O(min(q, K))
+memory; the child holds one chunk of terms and a few parts.  No child
+process or pipe outlives a check, even one that raises.
 
 Lemmas 2.4 and 2.7 share one core, :func:`_bilateral` (Lemma 2.4 is its
 x = 0 case), for their gates, reference and tolerance.  One constructor,
@@ -47,6 +52,7 @@ there.  An order whose float powers leave the double range raises
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
@@ -54,7 +60,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
@@ -176,18 +182,62 @@ def _window_weights(weight: Callable[[int], complex], q: int, lo: int,
 
 
 # A window of at least _MIN_SPLIT terms is split between the caller and one
-# forked child, which gets the part of each residue-class run after the
-# caller's _OWN_SHARE; below that, a fork costs more than it saves.  The
-# child pays about 1.3x per term for its expansion, hence a caller's share
-# above one half.  The child folds its terms in chunks of _CHUNK.
+# forked child; below that, a fork costs more than it saves.  A real series
+# leaves the child the part of each residue-class run after the caller's
+# _OWN_SHARE: the child pays about 1.3x per term for its expansion, hence a
+# caller's share above one half.  The child folds its terms in chunks of
+# _CHUNK.  A complex series leaves the child its whole imaginary part.
 _MIN_SPLIT = 1 << 16
 _OWN_SHARE = 0.57
 _CHUNK = 1 << 13
 
 
 def _terms(runs: Sequence[tuple[float, range]], shift: float, power: int) -> Iterator[float]:
-    # The one place a term is computed: w / (d + shift) ** power.
+    # The one place a term of a run is computed: w / (d + shift) ** power.
     return chain.from_iterable((w / (d + shift) ** power for d in span) for w, span in runs)
+
+
+def _runs(weights: Sequence[float], lo: int, hi: int,
+          pole: Optional[int]) -> list[tuple[float, range]]:
+    """One ``(weight, range)`` run of step m = len(weights) per residue class.
+
+    The class of the pole, when it falls in the window, is two runs, one on
+    each side of it.
+    """
+    m = len(weights)
+    if pole is not None and not lo <= pole <= hi:
+        pole = None
+    runs = []
+    for i, w in enumerate(weights):
+        if pole is not None and (pole - lo) % m == i:
+            runs += [(w, range(lo + i, pole, m)), (w, range(pole + m, hi + 1, m))]
+        else:
+            runs.append((w, range(lo + i, hi + 1, m)))
+    return runs
+
+
+def _stream(weights: Sequence[float], shift: float, power: int, lo: int, hi: int,
+            pole: Optional[int]) -> Iterator[float]:
+    """The terms of one component over the whole window, in one process.
+
+    A window with 8 or more terms per residue class on average streams each
+    class as one run.  A shorter one (q near the window's length or past
+    it) streams the terms in order of d, taking the weights in turn, so it
+    builds no run and no generator per term.  The term is the same float
+    operation on the same operands either way.
+    """
+    if hi - lo + 1 >= 8 * len(weights):
+        return _terms(_runs(weights, lo, hi, pole), shift, power)
+    return (w / (d + shift) ** power
+            for w, d in zip(cycle(weights), range(lo, hi + 1)) if d != pole)
+
+
+def _splits(m: int, lo: int, hi: int) -> bool:
+    # Runs of fewer than 8 terms on average (q near the window's length or
+    # past it) are not split: the child's share of each would be small, and
+    # cutting every run would cost about as much as summing it.  A complex
+    # series forks its child under the same guard.
+    return hi - lo + 1 >= max(_MIN_SPLIT, 8 * m) and _may_fork()
 
 
 def _expansion(xs: list) -> list:
@@ -208,6 +258,21 @@ def _expansion(xs: list) -> list:
         parts.append(residual)
 
 
+def _child_parts(terms: Iterator[float], whole: bool) -> list:
+    """What a child sends back for its share of terms.
+
+    A whole component is one float, the ``fsum`` of its terms.  The tails of
+    runs are an expansion (:func:`_expansion`), folded ``_CHUNK`` terms at a
+    time, so the child holds one chunk and a few parts.
+    """
+    if whole:
+        return [math.fsum(terms)]
+    parts = []
+    while xs := list(islice(terms, _CHUNK)):
+        parts = _expansion(xs + parts)
+    return parts
+
+
 def _may_fork() -> bool:
     # A fork is safe only with no other thread (its locks would be copied
     # held), and pays only with a second CPU to run the child on.
@@ -219,23 +284,26 @@ def _may_fork() -> bool:
 
 
 class _Child:
-    """One share of a series, summed by a forked child into an exact expansion.
+    """One share of a series, summed by a forked child.
 
-    Entering forks the child when the share has any term.  Iterating reads
-    the child's parts from the pipe once it has finished; when there is no
-    child, or it failed, iterating yields the share's own terms computed
-    here instead, so an exception a term raises comes from the caller.
-    Leaving kills and reaps a child still running and closes the pipe.
+    The share is either the tails of a real series' runs, which the child
+    sends back as an exact expansion, or (``whole``) the whole imaginary
+    component of a complex series, which it sends back as the one float
+    its ``fsum`` gives (:func:`_child_parts`).  Entering forks the child.
+    Iterating reads the child's floats from the pipe once it has finished;
+    when there is no child, or it failed, iterating yields the share's own
+    terms computed here instead, so an exception a term raises comes from
+    the caller.  Either way the caller's ``fsum`` over what it yields
+    (chained after its own terms, for tails) has the bits of the unsplit
+    stream.  Leaving kills and reaps a child still running and closes the
+    pipe.
     """
 
-    def __init__(self, runs: Sequence[tuple[float, range]], shift: float, power: int):
-        self.terms = lambda: _terms(runs, shift, power)
+    def __init__(self, terms: Callable[[], Iterator[float]], whole: bool = False):
+        self.terms, self.whole = terms, whole
         self.pid = self.fd = None
-        self.empty = not any(span for _, span in runs)
 
     def __enter__(self) -> "_Child":
-        if self.empty:
-            return self
         self.fd, out = os.pipe()
         try:
             self.pid = os.fork()
@@ -247,9 +315,7 @@ class _Child:
             try:
                 from array import array
                 os.close(self.fd)
-                parts, terms = [], self.terms()
-                while xs := list(islice(terms, _CHUNK)):
-                    parts = _expansion(xs + parts)
+                parts = _child_parts(self.terms(), self.whole)
                 with open(out, "wb") as pipe:
                     pipe.write(array("d", parts).tobytes())
                 status = 0
@@ -284,46 +350,33 @@ def _series(weights: Sequence[float], shift: float, power: int, lo: int, hi: int
             pole: Optional[int] = None) -> float:
     """fsum of weights[(d - lo) % m] / (d + shift) ** power over lo <= d <= hi, d != pole.
 
-    ``m = len(weights)``, as built by :func:`_window_weights`.  Each residue
-    class mod m is one ``range`` of step m (split at the pole when it falls
-    in that class), and the terms stream straight into ``math.fsum``: no
-    term list, O(m) memory.  Zero terms never change an ``fsum`` result,
-    whatever their sign.  ``(d + shift) ** power`` must stay one ``pow``:
-    with glibc 2.36, ``t ** 2 != t * t`` for 652 of 4,000,000 terms
-    ``t = d + r/b`` (d = 1..10^5, 40 random shifts with |r| <= 9 and
-    1 <= b <= 9), so a "faster square" would change reported bits.
+    ``m = len(weights)``, as built by :func:`_window_weights`.  The terms
+    stream straight into ``math.fsum`` (:func:`_stream`): no term list, O(m)
+    memory.  Zero terms never change an ``fsum`` result, whatever their
+    sign.  ``(d + shift) ** power`` must stay one ``pow``: with glibc 2.36,
+    ``t ** 2 != t * t`` for 652 of 4,000,000 terms ``t = d + r/b``
+    (d = 1..10^5, 40 random shifts with |r| <= 9 and 1 <= b <= 9), so a
+    "faster square" would change reported bits.
 
     A window of at least ``_MIN_SPLIT`` terms and 8m, in a process that may
     fork (``os.fork`` exists, no other thread is alive, more than one CPU is
     usable), is split: the caller streams the first ``_OWN_SHARE`` of each
-    run, and one forked child (:class:`_Child`) sums the rest into an
-    expansion, floats with exactly the exact sum of its terms, which it
-    sends back over a pipe.  The parts are chained after the caller's terms
-    into the one ``fsum``; since ``fsum`` rounds the exact sum of what it is
-    given once, the result has the same bits as the unsplit stream.  The
-    unsplit stream is the same expression with an empty child share.  A
-    child that fails has its share recomputed by the caller, so its errors
+    residue-class run, and one forked child (:class:`_Child`) sums the rest
+    into an expansion, floats with exactly the exact sum of its terms, which
+    it sends back over a pipe.  The parts are chained after the caller's
+    terms into the one ``fsum``; since ``fsum`` rounds the exact sum of what
+    it is given once, the result has the same bits as the unsplit stream.
+    A child that fails has its share recomputed by the caller, so its errors
     surface here; an error in the caller's own share kills and reaps the
     child.  The caller keeps O(m) memory and the child one chunk of
     ``_CHUNK`` terms plus a few parts.
     """
-    m = len(weights)
-    if pole is not None and not lo <= pole <= hi:
-        pole = None
-    runs = []
-    for i, w in enumerate(weights):
-        if pole is not None and (pole - lo) % m == i:
-            runs += [(w, range(lo + i, pole, m)), (w, range(pole + m, hi + 1, m))]
-        else:
-            runs.append((w, range(lo + i, hi + 1, m)))
-    own, rest = runs, []
-    # Runs of fewer than 8 terms on average (q near the window's length or
-    # past it) stay whole: the child's share of each would be small, and
-    # cutting every run would cost about as much as summing it.
-    if hi - lo + 1 >= max(_MIN_SPLIT, 8 * m) and _may_fork():
-        own = [(w, span[:math.ceil(len(span) * _OWN_SHARE)]) for w, span in runs]
-        rest = [(w, span[len(mine):]) for (w, span), (_, mine) in zip(runs, own)]
-    with _Child(rest, shift, power) as child:
+    if not _splits(len(weights), lo, hi):
+        return math.fsum(_stream(weights, shift, power, lo, hi, pole))
+    runs = _runs(weights, lo, hi, pole)
+    own = [(w, span[:math.ceil(len(span) * _OWN_SHARE)]) for w, span in runs]
+    rest = [(w, span[len(mine):]) for (w, span), (_, mine) in zip(runs, own)]
+    with _Child(lambda: _terms(rest, shift, power)) as child:
         return math.fsum(chain(_terms(own, shift, power), child))
 
 
@@ -334,9 +387,25 @@ def _complex_series(weights: Sequence[complex], shift: float, power: int, lo: in
     A nonzero part of the complex quotient w / f is that part of w divided
     by f, bit for bit, and a zero part changes no ``fsum``; so the two real
     sums equal the parts of a sum of complex terms.
+
+    The two parts are independent sums.  Where :func:`_series` would split
+    the window, one forked child (:class:`_Child`) sums the whole imaginary
+    part with one ``fsum`` and sends back that float, while the caller sums
+    the whole real part unsplit; each part is still one ``fsum`` over the
+    same terms, so the bits are those of the unsplit sums.  A child that
+    fails has its part summed here, an error in the real part kills and
+    reaps the child, and where no process can be forked both parts are
+    summed here.  Otherwise both parts are summed here, one after the other.
     """
-    return complex(_series([w.real for w in weights], shift, power, lo, hi, pole),
-                   _series([w.imag for w in weights], shift, power, lo, hi, pole))
+    real, imag = [w.real for w in weights], [w.imag for w in weights]
+
+    def stream(part: Sequence[float]) -> Iterator[float]:
+        return _stream(part, shift, power, lo, hi, pole)
+
+    if not _splits(len(weights), lo, hi):
+        return complex(math.fsum(stream(real)), math.fsum(stream(imag)))
+    with _Child(lambda: stream(imag), whole=True) as child:
+        return complex(math.fsum(stream(real)), math.fsum(child))
 
 
 def _pole(alpha: Fraction) -> Optional[int]:
@@ -344,17 +413,49 @@ def _pole(alpha: Fraction) -> Optional[int]:
     return -alpha.numerator if alpha.denominator == 1 else None
 
 
-def _fourier_series(n: int, x: Fraction, K: int) -> complex:
-    # The partial sum of fourier_partial_complex, on admitted arguments.
+def _fourier(n: int, x: Fraction, K: int) -> tuple[list, complex]:
+    # The gates, the weights and the coefficient -n!/(2 pi i)^n of the
+    # Fourier partial sum, on admitted arguments.
     if n < 2:
         raise ValueError("absolute convergence requires degree n >= 2")
     _gate_level(K)
     p, q = x.numerator, x.denominator
     sign = (-1) ** n
     weights = _window_weights(lambda k: _cis(k * p, q) + sign * _cis(-k * p, q), q, 1, K)
-    series = _complex_series(weights, 0.0, n, 1, K)
-    coef = -math.factorial(n) / complex(0.0, _TWO_PI) ** n
-    return coef * series
+    return weights, -math.factorial(n) / complex(0.0, _TWO_PI) ** n
+
+
+def _fourier_series(n: int, x: Fraction, K: int) -> complex:
+    # The partial sum of fourier_partial_complex, on admitted arguments.
+    weights, coef = _fourier(n, x, K)
+    return coef * _complex_series(weights, 0.0, n, 1, K)
+
+
+def _fourier_real(n: int, x: Fraction, K: int) -> float:
+    """``_fourier_series(n, x, K).real``, summing one part of the series where it can.
+
+    The real part of ``coef * s`` is ``coef.real * s.real - coef.imag *
+    s.imag``.  For n <= 100 ``complex ** int`` multiplies repeatedly, so
+    ``coef`` is exactly real (even n) or exactly imaginary (odd n), its
+    other part a signed zero.  Then the real part is ``coef.real * s.real``
+    or ``-coef.imag * s.imag``, bit for bit, whenever that product is
+    nonzero, and only that part of the series is summed.  A zero product
+    (every weight of that part zero, as for odd n at an integer x) takes its
+    sign from the other part too, and a coefficient with two nonzero parts
+    (n > 100) needs both: then the other part is summed as well and the full
+    product is taken.
+    """
+    weights, coef = _fourier(n, x, K)
+
+    @functools.cache
+    def part(name: str) -> float:
+        return _series([getattr(w, name) for w in weights], 0.0, n, 1, K)
+
+    if not coef.imag and (approx := coef.real * part("real")):
+        return approx
+    if not coef.real and (approx := -coef.imag * part("imag")):
+        return approx
+    return (coef * complex(part("real"), part("imag"))).real
 
 
 def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
@@ -372,12 +473,16 @@ def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
 def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
     """Check the exponential-series representation of the degree-n kernel.
 
+    The approximation is the real part of :func:`fourier_partial_complex`,
+    bit for bit; only the component of the series it reads is summed
+    (:func:`_fourier_real`).
+
     Tolerance: |tail| <= 2*n!/(2*pi)^n * sum_{k>K} k^-n
                        <= 2*n!/((2*pi)^n (n-1)) * K^(1-n).
     """
     n, x, K = _admit("fourier", n, x, K)
     with _in_double_range("n", n):
-        approx = _fourier_series(n, x, K).real
+        approx = _fourier_real(n, x, K)
         reference = float(bernoulli_function(n, x))
         tolerance = 2.0 * math.factorial(n) / (_TWO_PI ** n * (n - 1)) * K ** (1 - n)
     return _report("fourier", (("n", n), ("x", x)), K, approx, reference, tolerance)

@@ -242,10 +242,10 @@ class TestAnalyticCommand:
             return out
 
         split = run()
-        assert len(forks) == 3   # the two parts of lemma27, and zeta_even
+        assert len(forks) == 2   # lemma27's imaginary part, and zeta_even
         monkeypatch.setattr(analytic, "_MIN_SPLIT", 1 << 62)
         assert run() == split
-        assert len(forks) == 3
+        assert len(forks) == 2
 
 
 class TestWorkerCount:

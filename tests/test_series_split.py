@@ -1,12 +1,15 @@
 """The split truncation series: the bits of one fsum, and nothing left behind.
 
 A window of at least ``analytic._MIN_SPLIT`` terms is summed by the caller
-and one forked child, whose share comes back as an exact expansion (see
-``analytic._series``).  The bit tests force the split on small windows and
-compare with one streamed ``math.fsum`` by ``float.hex``.  The hygiene tests
-check that no child process and no pipe outlives a check, whether it
-returns or raises, and that no fork happens while another thread is alive
-or with one usable CPU.  A leaked pipe object fails the module through its
+and one forked child.  For a real series the child's share comes back as an
+exact expansion (see ``analytic._series``); for a complex series the child
+sums the whole imaginary part and sends back its ``fsum`` (see
+``analytic._complex_series``).  The bit tests force the split on small
+windows and compare with one streamed ``math.fsum`` per part by
+``float.hex``.  The hygiene tests check that no child process and no pipe
+outlives a check, whether it returns or raises, that a complex series
+forks once, and that no fork happens while another thread is alive or with
+one usable CPU.  A leaked pipe object fails the module through its
 ``ResourceWarning``.
 """
 
@@ -14,7 +17,8 @@ import math
 import os
 import signal
 import threading
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dedsums import analytic
-from dedsums.analytic import lemma27_check, zeta_even_check
+from dedsums.analytic import fourier_partial_complex, lemma27_check, zeta_even_check
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -64,13 +68,13 @@ def _cuts(m: int, lo: int, hi: int) -> list:
 
 
 @st.composite
-def windows(draw):
+def windows(draw, kinds=("lemma27", "fourier", "real", "zero")):
     """(weights, shift, power, lo, hi, pole) in the shapes the checks build."""
     q, power = draw(st.integers(1, 9)), draw(st.integers(1, 6))
     lo = draw(st.integers(-300, 40))
     hi = lo + draw(st.integers(0, 500))
     p = draw(st.integers(-9, 9))
-    kind = draw(st.sampled_from(["lemma27", "fourier", "real", "zero"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "lemma27":
         weights = analytic._window_weights(lambda d: analytic._cis(d * p, q), q, lo, hi)
     elif kind == "fourier":
@@ -121,6 +125,62 @@ def test_split_reports_are_identical(check, args):
     with _split(analytic._CHUNK):
         split = check(*args)
     assert split == check(*args)
+
+
+@given(windows(kinds=("lemma27", "fourier")), st.sampled_from([1, 7, analytic._CHUNK]))
+@example(([1j, -1j, 0j], -0.5, 3, -40, 40, None), 1)     # zero real weights
+@example(([-0j], 0.0, 2, -9, 9, 0), 7)                    # zero weight, pole at 0
+@settings(max_examples=100, deadline=None)
+def test_complex_split_has_the_bits_of_one_fsum_per_part(window, chunk):
+    # The child sums the whole imaginary part; the caller sums the real one.
+    weights, shift, power, lo, hi, pole = window
+    with _split(chunk):
+        got = analytic._complex_series(weights, shift, power, lo, hi, pole)
+    want = complex(_one_fsum([w.real for w in weights], shift, power, lo, hi, pole),
+                   _one_fsum([w.imag for w in weights], shift, power, lo, hi, pole))
+    assert _bits(got) == _bits(want)
+
+
+@given(n=st.integers(2, 8),
+       x=st.builds(F, st.integers(-60, 60), st.integers(1, 60)),
+       K=st.integers(1, 600),
+       split=st.booleans())
+@example(n=3, x=F(0), K=600, split=True)     # odd n at an integer x: every weight is 0
+@example(n=5, x=F(-2), K=7, split=False)
+@example(n=7, x=F(1), K=1, split=True)
+@example(n=3, x=F(1, 2), K=100, split=True)  # odd n at 1/2: every weight is 0 as well
+@settings(max_examples=150, deadline=None)
+def test_fourier_report_has_the_bits_of_the_complex_real_part(n, x, K, split):
+    # The report sums one component where it can; its approximation is the
+    # real part of the complex partial sum, sign of zero included.  Under
+    # _split, K below 8q streams in order of d and K from 8q on is split.
+    with _split(7) if split else nullcontext():
+        got = analytic.fourier_partial(n, x, K).approx
+        want = analytic._fourier_series(n, x, K).real
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("lo,length,m,pole", [
+    (-9, 30, 5, -3), (1, 39, 5, None), (0, 7, 1, 0), (-50, 100, 13, 49), (-3, 12, 12, 8),
+])
+def test_short_runs_stream_in_order_of_d(lo, length, m, pole):
+    # Fewer than 8 terms per residue class: one stream over d, weights in turn.
+    hi = lo + length - 1
+    weights = [math.sin(i + 0.5) * 10.0 ** (i % 7) for i in range(m)]
+    want = _one_fsum(weights, 0.25, 3, lo, hi, pole)
+    assert _bits(analytic._series(weights, 0.25, 3, lo, hi, pole)) == _bits(want)
+
+
+def test_short_runs_build_nothing_per_term():
+    # A run and a generator per term would take about 11 MB here.
+    weights = [float(i % 7) - 3.0 for i in range(100_001)]
+    tracemalloc.start()
+    try:
+        analytic._series(weights, 0.25, 2, -50_000, 50_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @given(st.lists(st.floats(-1e300, 1e300), max_size=60))
@@ -265,3 +325,90 @@ def test_no_fork_on_one_cpu(forks, monkeypatch):
     rep = zeta_even_check(1, 20_000)
     assert forks == []
     assert rep == _unsplit(zeta_even_check, 1, 20_000)
+
+
+# ---------------------------------------------------------------------------
+# The child of a complex series: the whole imaginary part
+# ---------------------------------------------------------------------------
+
+_COMPLEX_CHECKS = [
+    (lemma27_check, (2, 3, 1, F(1, 5), 5_000)),
+    (lemma27_check, (1, 2, 1, F(1, 3), 2_000)),
+    (fourier_partial_complex, (3, F(5, 8), 2_000)),
+    (fourier_partial_complex, (4, F(0), 500)),
+]
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, complex):
+        return _bits(got) == _bits(want)
+    return got == want and _bits(complex(*got.approx)) == _bits(complex(*want.approx))
+
+
+@pytest.mark.parametrize("check,args", _COMPLEX_CHECKS)
+def test_complex_series_forks_once(forks, check, args):
+    with _leaves_nothing():
+        got = check(*args)
+    assert len(forks) == 1
+    assert _same(got, _unsplit(check, *args))
+
+
+@pytest.mark.parametrize("crash", [
+    lambda terms, whole: os.kill(os.getpid(), signal.SIGKILL),
+    lambda terms, whole: 1 / 0,
+])
+def test_failed_child_has_its_part_summed_here(forks, monkeypatch, crash):
+    # A child killed by a signal, or raising, reports nothing: the caller
+    # sums the imaginary part itself, to the same bits.
+    monkeypatch.setattr(analytic, "_child_parts", crash)
+    with _leaves_nothing():
+        got = [check(*args) for check, args in _COMPLEX_CHECKS]
+    assert len(forks) == len(_COMPLEX_CHECKS)
+    for value, (check, args) in zip(got, _COMPLEX_CHECKS):
+        assert _same(value, _unsplit(check, *args))
+
+
+def test_error_in_the_real_part_kills_and_reaps_the_child(forks):
+    # 1e308 + 1e308/2 + 1e308/3 overflows fsum at the caller's third real
+    # term, while the child has 2*10^5 imaginary terms to sum.
+    with _leaves_nothing():
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            analytic._complex_series([complex(1e308, 1.0)], 0.0, 1, 1, 200_000)
+    assert len(forks) == 1
+
+
+def test_fork_failure_sums_both_parts_here(forks, monkeypatch):
+    def fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with _leaves_nothing():
+        got = [check(*args) for check, args in _COMPLEX_CHECKS]
+    for value, (check, args) in zip(got, _COMPLEX_CHECKS):
+        assert _same(value, _unsplit(check, *args))
+
+
+def test_no_complex_fork_while_another_thread_is_alive(forks):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with _leaves_nothing():
+            got = [check(*args) for check, args in _COMPLEX_CHECKS]
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert forks == []
+    for value, (check, args) in zip(got, _COMPLEX_CHECKS):
+        assert _same(value, _unsplit(check, *args))
+
+
+def test_no_complex_fork_on_one_cpu(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with _leaves_nothing():
+        got = [check(*args) for check, args in _COMPLEX_CHECKS]
+    assert forks == []
+    for value, (check, args) in zip(got, _COMPLEX_CHECKS):
+        assert _same(value, _unsplit(check, *args))
