@@ -172,7 +172,8 @@ def test_short_runs_stream_in_order_of_d(lo, length, m, pole):
 
 
 def test_short_runs_build_nothing_per_term():
-    # A run and a generator per term would take about 11 MB here.
+    # A run and a generator per term would take about 11 MB here, and a
+    # saved copy of the weights (as itertools.cycle keeps) about 0.8 MB.
     weights = [float(i % 7) - 3.0 for i in range(100_001)]
     tracemalloc.start()
     try:
@@ -180,7 +181,7 @@ def test_short_runs_build_nothing_per_term():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert peak < 1 << 16, peak
 
 
 @given(st.lists(st.floats(-1e300, 1e300), max_size=60))
