@@ -38,7 +38,9 @@ Geometric Predicates", DCG 18, 1997), and returns it over a pipe.  The
 caller chains those floats after its own terms into the one ``fsum``, whose
 exact input sum, and so whose result, is unchanged.  In a complex series the
 child sums the whole imaginary part with one ``fsum`` and returns that
-float, while the caller sums the real part.  The caller keeps O(min(q, K))
+float, while the caller sums the real part; a part whose weights are all
+zero is +0.0 and is not summed when the other part is, which is then split
+as a real series.  The caller keeps O(min(q, K))
 memory; the child holds one chunk of terms and a few parts.  No child
 process or pipe outlives a check, even one that raises.
 
@@ -405,8 +407,19 @@ def _complex_series(weights: Sequence[complex], shift: float, power: int, lo: in
     fails has its part summed here, an error in the real part kills and
     reaps the child, and where no process can be forked both parts are
     summed here.  Otherwise both parts are summed here, one after the other.
+
+    A part whose weights are all zero (the imaginary part of lemma27 at an
+    integer x) sums to +0.0, as ``fsum`` of zeros of either sign does, so it
+    is not summed when the other part is: that part alone goes to
+    :func:`_series`, split as a real series is, and raises whatever error a
+    term's power would raise in either part.  When both parts are zero, both
+    are summed, so an order past the double range still raises.
     """
     real, imag = [w.real for w in weights], [w.imag for w in weights]
+    if any(real) != any(imag):
+        if any(real):
+            return complex(_series(real, shift, power, lo, hi, pole), 0.0)
+        return complex(0.0, _series(imag, shift, power, lo, hi, pole))
 
     def stream(part: Sequence[float]) -> Iterator[float]:
         return _stream(part, shift, power, lo, hi, pole)

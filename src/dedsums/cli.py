@@ -211,13 +211,9 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _columns(spec) -> list[str]:
-    return [*spec.params, *spec.flags]
-
-
 def _given(spec, params: dict) -> list[tuple[str, object]]:
     """The declared parameters and flags present in ``params``, in declared order."""
-    return [(n, params[n]) for n in _columns(spec) if n in params]
+    return [(n, params[n]) for n in spec.columns if n in params]
 
 
 def _kv(pairs) -> str:
@@ -232,7 +228,7 @@ def _json_row(spec, params: dict, report: IdentityReport | None, clause: str | N
 
 
 def _csv_header(spec) -> str:
-    return ",".join(["identity"] + _columns(spec) + ["lhs", "rhs", "residual", "pass", "counter"])
+    return ",".join(["identity", *spec.columns, "lhs", "rhs", "residual", "pass", "counter"])
 
 
 def _csv_cell(v) -> str:
@@ -241,7 +237,7 @@ def _csv_cell(v) -> str:
 
 
 def _csv_row(spec, params: dict, report: IdentityReport | None, clause: str | None) -> str:
-    cells = [spec.name] + [_csv_cell(params[n]) if n in params else "" for n in _columns(spec)]
+    cells = [spec.name] + [_csv_cell(params[n]) if n in params else "" for n in spec.columns]
     if report is None:
         return ",".join(cells + ["", "", "", "invalid", ""])
     return ",".join(cells + [format_rational(report.lhs), format_rational(report.rhs),

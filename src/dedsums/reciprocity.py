@@ -8,9 +8,14 @@ expressions on the other -- and returns both values together with the exact
 residual ``lhs - rhs``.  The closed-form terms are assembled in integers: a
 kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), and
 so is each kernel value; :func:`_fold` adds the terms over one denominator,
-so a side is one Fraction.  A checker never "fixes" its inputs: parameters
-that violate the identity's hypotheses raise :class:`HypothesisError`
-naming the violated clause.
+so a side is one Fraction.  The binomial sums of the product formulas and
+the three-modulus laws (:func:`_binomial_side`) build their two linear
+forms once per side and read each lattice sum from the core of
+:mod:`dedsums.sums` as its integer pair; the other sums come from the
+public families.  A checker never "fixes" its inputs: parameters that
+violate the identity's hypotheses raise :class:`HypothesisError` naming the
+violated clause, and an order or modulus that is not an ``int``, or a shift
+that is neither an ``int`` nor a ``Fraction``, raises ``ValueError``.
 
 The identity tags understood by :func:`run_case`:
 
@@ -45,6 +50,9 @@ from typing import Callable, Mapping, Optional, Sequence
 from .bernoulli import _kernel_pair, bernoulli_number
 from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
 from .params import Params, coerce, declare, lookup
+# s_mn_two is not called here since the cor32/cor34 sides read the lattice
+# core; it stays importable as reciprocity.s_mn_two, a name the benchmark's
+# tracer wraps in this module as it does every family.
 from .sums import (
     _form,
     _lattice_sum,
@@ -153,10 +161,9 @@ def _report(identity: str, values: tuple, lhs: Fraction,
     # The case lists ``values`` under the identity's declared parameter names,
     # then its flags (a flag's value is present only when it is set).  Both
     # sides arrive as Fractions, so they are stored as they are.
-    spec = IDENTITIES[identity]
     residual = lhs - rhs
     return IdentityReport(
-        case=IdentityCase(identity, tuple(zip((*spec.params, *spec.flags), values))),
+        case=IdentityCase(identity, tuple(zip(IDENTITIES[identity].columns, values))),
         lhs=lhs, rhs=rhs, residual=residual, passed=(residual == 0),
         counter=counter,
     )
@@ -166,11 +173,13 @@ def _fold(*terms) -> tuple[int, int]:
     """The sum of ``terms`` as one integer pair ``(num, den)``, ``den != 0``.
 
     A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
-    nonzero, of either sign) times each factor: an integer pair (a kernel
-    value from :func:`_kernel_pair`), an int or a Fraction (a Bernoulli
-    number, a lattice sum), each read by numerator and denominator.  The
-    terms add up over one running lcm of their denominators and build no
-    Fraction; a side is ``Fraction(*_fold(...))``, one Fraction at the end.
+    nonzero, of either sign) times each factor: an integer pair ``(num,
+    den)``, not necessarily reduced (a kernel value from :func:`_kernel_pair`,
+    a lattice sum from ``sums._lattice_sum``, a side from
+    :func:`_binomial_side`), or an int or a Fraction (a Bernoulli number, a
+    family's sum), each read by numerator and denominator.  The terms add up
+    over one running lcm of their denominators and build no Fraction; a side
+    is ``Fraction(*_fold(...))``, one Fraction at the end.
     """
     num, den = 0, 1
     for top, bottom, *factors in terms:
@@ -205,13 +214,37 @@ def _require(cond: bool, identity: str, clause: str) -> None:
         raise HypothesisError(identity, clause)
 
 
+def _require_int(identity: str, name: str, value: int) -> None:
+    # An order or a modulus is an int; a bool, a float or a string is not.
+    if type(value) is not int:
+        raise ValueError(f"{identity}: parameter {name!r} must be an int, got {value!r}")
+
+
+def _require_order(identity: str, name: str, value: int, minimum: int) -> None:
+    _require_int(identity, name, value)
+    _require(value >= minimum, identity, f"{name} >= {minimum}")
+
+
+def _shift(identity: str, name: str, value: Fraction) -> Fraction:
+    # A shift as the checks use it: a Fraction as it is, an int (not a bool)
+    # as the Fraction it equals, so that the report lists it as run_case's
+    # coerced value would be; anything else is refused.
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise ValueError(f"{identity}: parameter {name!r} must be an int or a Fraction, "
+                     f"got {value!r}")
+
+
 def _require_moduli(identity: str, **moduli: int) -> None:
     # The registry's modulus hypotheses, the same data random_case samples
-    # by: every modulus nonzero (signed) or >= 1, then, for coprime
+    # by: every modulus an int, nonzero (signed) or >= 1, then, for coprime
     # identities, the pairs (a, b), (b, c), (a, c) in that order.
     spec = IDENTITIES[identity]
     rule = "!= 0" if spec.signed else ">= 1"
     for name, v in moduli.items():
+        _require_int(identity, name, v)
         _require(v != 0 if spec.signed else v >= 1, identity, f"{name} {rule}")
     if spec.coprime:
         items = list(moduli.items())
@@ -223,8 +256,8 @@ def _require_moduli(identity: str, **moduli: int) -> None:
 
 def _require_mn(identity: str, m: int, n: int, **moduli: int) -> None:
     # The gate the product and three-modulus laws share.
-    _require(m >= 1, identity, "m >= 1")
-    _require(n >= 1, identity, "n >= 1")
+    _require_order(identity, "m", m, 1)
+    _require_order(identity, "n", n, 1)
     _require_moduli(identity, **moduli)
 
 
@@ -262,7 +295,7 @@ def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRepo
     """Shifted two-term law for coprime a, b >= 1 (verbatim, no gcd powers)."""
     ident = "rademacher15"
     _require_moduli(ident, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
     rhs = Fraction(*_fold(
@@ -282,7 +315,7 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
     """
     ident = "eq319"
     _require_moduli(ident, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     g = gcd_pos(a, b)
     lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
@@ -300,7 +333,7 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     """Shifted three-term sawtooth law for a, b, c >= 1 with lattice counter N."""
     ident = "berndt"
     _require_moduli(ident, a=a, b=b, c=c)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
     n_count = count_ladder(a, b, c, x, y, z)
     lhs = (
         berndt_s(a, b, c, x, y, z)
@@ -324,7 +357,7 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
 def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     """Odd-order two-term law: a b^n s_n(a,b) + b a^n s_n(b,a) in closed form."""
     ident = "apostol"
-    _require(n >= 1, ident, "n >= 1")
+    _require_order(ident, "n", n, 1)
     _require(n % 2 == 1, ident, "n odd")
     _require_moduli(ident, a=a, b=b)
     lhs = Fraction(*_fold((a * b**n, 1, apostol_s(n, a, b)), (b * a**n, 1, apostol_s(n, b, a))))
@@ -339,9 +372,9 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
 def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Shifted higher-order law on the raw kernel B_n({.}), coprime a, b >= 1."""
     ident = "carlitz"
-    _require(n >= 0, ident, "n >= 0")
+    _require_order(ident, "n", n, 0)
     _require_moduli(ident, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     lhs = Fraction(*_fold((a * b**n, 1, carlitz_s(n, a, b, x, y)),
                           (b * a**n, 1, carlitz_s(n, b, a, y, x))))
@@ -360,8 +393,12 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
 
 def _inner_pair_sum(j: int, k: int, top: int, mod: int, sub: Fraction,
                     shift: Fraction, x: Fraction) -> Fraction:
-    # sum over l = 1..|mod| of B'_j(top(l+shift)/mod - sub) B'_k(x + (l+shift)/mod)
-    return _lattice_sum(j, _form(top, mod, shift, sub, -1), k, _form(1, mod, shift, x), abs(mod))
+    # sum over l = 1..|mod| of B'_j(top(l+shift)/mod - sub) B'_k(x + (l+shift)/mod).
+    # No checker calls it: the sides of thm31/thm33 read these sums from
+    # _lattice_sum directly.  It stays, with the memo views below, as the
+    # name under which the benchmark reads the memo those sides fill.
+    return Fraction(*_lattice_sum(j, _form(top, mod, shift, sub, -1), k,
+                                  _form(1, mod, shift, x), abs(mod)))
 
 
 # A view of the one lattice-sum memo, as each family in sums carries one.
@@ -370,31 +407,34 @@ _inner_pair_sum.cache_clear = _lattice_sum.cache_clear
 
 
 def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
-                   term: Callable[[int, int], tuple[Fraction, int]],
-                   c: int = 1) -> tuple[int, int]:
+                   f1: tuple[int, int, int], f2: tuple[int, int, int], count: int,
+                   c: int = 1, c_power: int = 0) -> tuple[int, int]:
     # One half T(m,n,a,b) of a law T(m,n,a,b,...) +- T(n,m,b,a,...):
-    #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k c^e S,
-    # where term(j, k) = (S, e) is a lattice sum and an exponent of c, with
+    #   scale n b^(n-1) sum_{j=0..m} C(m,j) (-1)^j a^(m-j) w_k c^(c_power-k) S(j, k),
+    # where S(j, k) is the lattice sum over r = 1..count of the order-j
+    # kernel at the form f1 times the order-k kernel at the form f2, with
     # k = m+n-j and w_k = 1/k for the integral-level laws (Thm 3.1, Cor 3.2,
     # Thm 4.1), k = m+n-j-1 and w_k = 1 for the derivative-level ones.
-    # ``scale`` is the law's global integer factor (a sign, sgn(b), a power
-    # of c).  Each summand is a term of _fold: the coefficient and c^e for
-    # e >= 0 above, k and c^-e for e < 0 below, times S.  The side is their
-    # integer pair (num, den), which the caller adds into its own _fold.
+    # The caller builds both forms once with sums._form, and each S(j, k)
+    # is read from the memo as its integer pair.  ``scale`` is the law's
+    # global integer factor (a sign, sgn(b), a power of c).  Each summand is
+    # a term of _fold: the coefficient and c^e for e >= 0 above, k and c^-e
+    # for e < 0 below, times S.  The side is their integer pair (num, den),
+    # which the caller adds into its own _fold.
     coeff = scale * n * b ** (n - 1)
     terms = []
     for j in range(m + 1):
         k = m + n - j - 1 if derivative else m + n - j
-        total, e = term(j, k)
         top = coeff * math.comb(m, j) * a ** (m - j)
         bottom = 1 if derivative else k
         if j % 2:
             top = -top
+        e = c_power - k
         if e >= 0:
             top *= c ** e
         else:
             bottom *= c ** -e
-        terms.append((top, bottom, total))
+        terms.append((top, bottom, _lattice_sum(j, f1, k, f2, count)))
     return _fold(*terms)
 
 
@@ -403,14 +443,14 @@ def check_thm31(m: int, n: int, a: int, b: int,
     """Product of two periodized factors as binomial-weighted lattice sums."""
     ident = "thm31"
     _require_mn(ident, m, n, a=a, b=b)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
     u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
     lhs = Fraction(*_fold((1, 1, _kernel_pair(m, *u), _kernel_pair(n, *v))))
 
     def side(m, n, a, b, y, z):
-        return _binomial_side(
-            sgn(b), m, n, a, b, False,
-            lambda j, k: (_inner_pair_sum(j, k, a, b, y, z, x), 0))
+        # S(j, k): B'_j(a(l+z)/b - y) B'_k(x + (l+z)/b) over l = 1..|b|
+        return _binomial_side(sgn(b), m, n, a, b, False,
+                              _form(a, b, z, y, -1), _form(1, b, z, x), abs(b))
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -427,13 +467,13 @@ def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     """Two-modulus projection of the product formula."""
     ident = "cor32"
     _require_mn(ident, m, n, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
 
     def side(m, n, a, b, x, y):
-        return _binomial_side(
-            (-1) ** m * sgn(b), m, n, a, b, False,
-            lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
+        # S(j, k): B'_j(a(r+y)/b + x) B'_k((r+y)/b) over r = 1..|b|
+        return _binomial_side((-1) ** m * sgn(b), m, n, a, b, False,
+                              _form(a, b, y, x), _form(1, b, y), abs(b))
 
     lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x)))
     g = gcd_pos(a, b)
@@ -452,24 +492,21 @@ def check_thm33(m: int, n: int, a: int, b: int,
     """Derivative-level product formula (no 1/(m+n-j) weights)."""
     ident = "thm33"
     _require_mn(ident, m, n, a=a, b=b)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
     u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
-
-    def side(m, n, a, b, y, z):
-        return _binomial_side(
-            sgn(b), m, n, a, b, True,
-            lambda j, k: (_inner_pair_sum(j, k, a, b, y, z, x), 0))
-
-    # The sides first: their lattice sums refuse a modulus that is not an
-    # int (ValueError) before the kernel arguments below would use it.
-    first, second = side(m, n, a, b, y, z), side(n, m, b, a, z, y)
     lhs = Fraction(*_fold(
         (m * a, 1, _kernel_pair(m - 1, *u), _kernel_pair(n, *v)),
         (n * b, 1, _kernel_pair(m, *u), _kernel_pair(n - 1, *v)),
     ))
+
+    def side(m, n, a, b, y, z):
+        # S(j, k) as in thm31
+        return _binomial_side(sgn(b), m, n, a, b, True,
+                              _form(a, b, z, y, -1), _form(1, b, z, x), abs(b))
+
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = (-sgn(a * b) * _dz(*u) * _dz(*v) * weight, 4)
-    rhs = Fraction(*_fold(first, second, delta_term))
+    rhs = Fraction(*_fold(side(m, n, a, b, y, z), side(n, m, b, a, z, y), delta_term))
     return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
 
 
@@ -477,13 +514,13 @@ def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Ide
     """Two-modulus projection of the derivative-level product formula."""
     ident = "cor34"
     _require_mn(ident, m, n, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
 
     def side(m, n, a, b, x, y, sign=1):
-        return _binomial_side(
-            sign * (-1) ** m * sgn(b), m, n, a, b, True,
-            lambda j, k: (s_mn_two(j, k, a, b, x, y), 0))
+        # S(j, k) as in cor32
+        return _binomial_side(sign * (-1) ** m * sgn(b), m, n, a, b, True,
+                              _form(a, b, y, x), _form(1, b, y), abs(b))
 
     lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
@@ -504,14 +541,14 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
     """Three-modulus law expressing one generalized sum through cyclic mates."""
     ident = "thm41"
     _require_mn(ident, m, n, a=a, b=b, c=c)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
     n_tilde = count_ladder(a, b, c, x, y, z)
     lhs = hwz_s(m, n, a, b, c, x, y, z)
 
     def side(m, n, a, b, x, y):
-        return _binomial_side(
-            (-1) ** (m + n) * sgn(b * c), m, n, a, b, False,
-            lambda j, k: (hwz_s(j, k, a, c, b, x, z, y), 1 - k), c)
+        # S(j, k) = hwz_s(j, k, a, c, b, x, z, y), weighted by c^(1-k)
+        return _binomial_side((-1) ** (m + n) * sgn(b * c), m, n, a, b, False,
+                              _form(a, b, y, x, -1), _form(c, b, y, z, -1), abs(b), c, 1)
 
     g = gcd_pos(a, b)
     gcd_term = (
@@ -527,9 +564,9 @@ def check_thm41(m: int, n: int, a: int, b: int, c: int,
 def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Shifted one-order projection, positive moduli, no coprimality needed."""
     ident = "cor42"
-    _require(n >= 0, ident, "n >= 0")
+    _require_order(ident, "n", n, 0)
     _require_moduli(ident, a=a, b=b)
-    x, y = Fraction(x), Fraction(y)
+    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     lhs = Fraction(*_fold((a * b**n, 1, s_n_two(n, a, b, x, y)),
                           (b * a**n, 1, s_n_two(n, b, a, y, x))))
@@ -546,11 +583,12 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
 def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     """Odd-order unshifted three-term law with free row index r."""
     ident = "cor43"
-    _require(p >= 1, ident, "p >= 1")
+    _require_order(ident, "p", p, 1)
     _require(p % 2 == 1, ident, "p odd")
+    _require_int(ident, "r", r)
     _require(0 <= r <= p - 1, ident, "0 <= r <= p - 1")
     _require_moduli(ident, a=a, b=b, c=c)
-    n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
+    n_hat = count_ladder(a, b, c, 0, 0, 0)
 
     lhs = Fraction(*_fold(
         *((binomial(p + 1, j) * binomial(p - j, p - 1 - r) * (-1) ** (j + 1)
@@ -577,7 +615,7 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
     """Derivative-level three-modulus law."""
     ident = "thm44"
     _require_mn(ident, m, n, a=a, b=b, c=c)
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
     n_tilde = count_ladder(a, b, c, x, y, z)
     lhs = Fraction(*_fold(
         (m * a, 1, hwz_s(m - 1, n, a, b, c, x, y, z)),
@@ -585,9 +623,9 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
     ))
 
     def side(m, n, a, b, x, y):
-        return _binomial_side(
-            (-1) ** (m + n - 1) * sgn(b * c), m, n, a, b, True,
-            lambda j, k: (hwz_s(j, k, a, c, b, x, z, y), 1 - k), c)
+        # S(j, k) as in thm41, weighted by c^(1-k)
+        return _binomial_side((-1) ** (m + n - 1) * sgn(b * c), m, n, a, b, True,
+                              _form(a, b, y, x, -1), _form(c, b, y, z, -1), abs(b), c, 1)
 
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
     delta_term = (-sgn(a * b) * weight * n_tilde, 4)
@@ -599,12 +637,12 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
     """Derivative-level unshifted three-term law for positive moduli."""
     ident = "cor45"
     _require_mn(ident, m, n, a=a, b=b, c=c)
-    n_hat = count_ladder(a, b, c, Fraction(0), Fraction(0), Fraction(0))
+    n_hat = count_ladder(a, b, c, 0, 0, 0)
 
     def side(m, n, a, b, sign=1):
-        return _binomial_side(
-            sign * (-1) ** m * c ** (m + 1), m, n, a, b, True,
-            lambda j, k: (s_mn_plain(j, k, a, c, b), j - m), c)
+        # S(j, k) = s_mn_plain(j, k, a, c, b), weighted by c^(j-m) = c^(n-1-k)
+        return _binomial_side(sign * (-1) ** m * c ** (m + 1), m, n, a, b, True,
+                              _form(a, b, 0), _form(c, b, 0), abs(b), c, n - 1)
 
     lhs = Fraction(*_fold(side(m, n, a, b), side(n, m, b, a, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
@@ -644,6 +682,11 @@ class IdentitySpec:
     @cached_property
     def params(self) -> Params:
         return declare((*self.orders, *self.moduli), self.shifts)
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The names a report's case lists its values under: parameters, then flags."""
+        return (*self.params, *self.flags)
 
 
 _AB, _ABC, _XY, _XYZ = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z")

@@ -5,13 +5,16 @@ Each family is one lattice sum under its own parameters: the sum over
 is the periodized Bernoulli kernel (the raw kernel ``B_n({.})`` for
 ``carlitz_s``) and the two linear forms carry the family's tops, modulus
 and shifts with signed division.  The public functions only build these
-integers and hand them to :func:`_lattice_sum`.  Both kernels have period
-1, so it first replaces each slope ``p`` by its signed residue mod ``d``
-(``|p| <= d/2``), which changes no term, and then takes one of two routes
-to the same exact value.  Both work in integers: each factor's kernel value
-scaled by ``L_n d^n`` (``L_n`` the lcm of the denominators of
-``B_0..B_n``) is an integer, so a sum is one integer numerator over the
-predictable denominator ``L_m d1^m L_n d2^n``, and one Fraction.
+integers, hand them to :func:`_lattice_sum` and make one Fraction of the
+integer pair it returns.  Both kernels have period 1, so it first replaces
+each slope ``p`` by its signed residue mod ``d`` (``|p| <= d/2``), which
+changes no term, and then takes one of two routes to the same exact value.
+Both work in integers: each factor's kernel value scaled by ``L_n d^n``
+(``L_n`` the lcm of the denominators of ``B_0..B_n``) is an integer, so a
+sum is one integer numerator over the predictable denominator
+``L_m d1^m L_n d2^n``, and the core returns that pair, unreduced.  The
+binomial sides of :mod:`dedsums.reciprocity` build their two forms once
+and read the pairs of every order pair straight from the core.
 
 * **direct** -- the literal loop, one product of two integer kernel values
   ``L_n d^n K_n(t/d)`` (``t = num mod d``) per term.  The kernel values
@@ -150,11 +153,16 @@ def _reduce(form: tuple[int, int, int]) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, int],
-                 count: int, raw: bool = False) -> Fraction:
+                 count: int, raw: bool = False) -> tuple[int, int]:
     """Sum over r = 1..count of K_m((p1 r + q1)/d1) K_n((p2 r + q2)/d2).
 
     ``f1`` and ``f2`` are the forms ``(p, q, d)`` with ``d > 0``; ``K`` is
     the periodized kernel, or the raw kernel B_n({.}) when ``raw`` is set.
+    The sum is the integer pair ``(num, L_m d1^m L_n d2^n)``, by either
+    route and not reduced; ``Fraction(*pair)`` is its value, and
+    ``reciprocity._fold`` reads the pair as a factor as it is.  The
+    arguments are not checked here: the callers build them with
+    :func:`_form`.
     """
     f1, f2 = _reduce(f1), _reduce(f2)
     if count >= _PIECEWISE_MIN_TERMS:
@@ -177,7 +185,7 @@ def _lattice_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, i
         t2 = (t2 + p2) % d2
         if (t1 or not zero1) and (t2 or not zero2):
             acc += kernel(m, t1, d1) * kernel(n, t2, d2)
-    return Fraction(acc, _scale(m, d1) * _scale(n, d2))
+    return acc, _scale(m, d1) * _scale(n, d2)
 
 
 def _kernel_numerator(order: int, num: int, den: int, raw: bool) -> int:
@@ -229,7 +237,7 @@ def _power_sums(degree: int, top: int) -> list[int]:
 
 
 def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int, int],
-                   count: int, raw: bool) -> Fraction:
+                   count: int, raw: bool) -> tuple[int, int]:
     """:func:`_lattice_sum` by closed-form sums over the stretches of constant floors.
 
     Each stretch adds an integer to one numerator over the fixed denominator
@@ -267,7 +275,7 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
                     for (order, p, q, d), const in zip(factors, consts)]
             kern = [0 if r in z else v for z, v in zip(zeros, poly)]
             acc += kern[0] * kern[1] - poly[0] * poly[1]
-    return Fraction(acc, _scale(m, f1[2]) * _scale(n, f2[2]))
+    return acc, _scale(m, f1[2]) * _scale(n, f2[2])
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +285,26 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
 def classical_s(a: int, b: int) -> Fraction:
     """Classical Dedekind sum: sum of ((r/b)) ((ar/b)) over r = 1..|b|."""
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b))
+    return Fraction(*_lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b)))
 
 
 def rademacher_s(a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Shifted two-term sum: sum of (((r+y)/b)) ((a(r+y)/b + x))."""
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, y), 1, _form(a, b, y, x), abs(b))
+    return Fraction(*_lattice_sum(1, _form(1, b, y), 1, _form(a, b, y, x), abs(b)))
 
 
 def berndt_s(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Three-argument sawtooth sum: sum of ((a(r+z)/c - x)) ((b(r+z)/c - y))."""
     _require_nonzero(c, "c")
-    return _lattice_sum(1, _form(a, c, z, x, -1), 1, _form(b, c, z, y, -1), abs(c))
+    return Fraction(*_lattice_sum(1, _form(a, c, z, x, -1), 1, _form(b, c, z, y, -1), abs(c)))
 
 
 def apostol_s(n: int, a: int, b: int) -> Fraction:
     """Higher-order sum with one sawtooth factor and one degree-n factor."""
     _require_order(n, "n", 1)
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, 0), n, _form(a, b, 0), abs(b))
+    return Fraction(*_lattice_sum(1, _form(1, b, 0), n, _form(a, b, 0), abs(b)))
 
 
 def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
@@ -307,7 +315,7 @@ def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b), raw=True)
+    return Fraction(*_lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b), raw=True))
 
 
 def hwz_s(m: int, n: int, a: int, b: int, c: int,
@@ -322,7 +330,7 @@ def hwz_s(m: int, n: int, a: int, b: int, c: int,
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(c, "c")
-    return _lattice_sum(m, _form(a, c, z, x, -1), n, _form(b, c, z, y, -1), abs(c))
+    return Fraction(*_lattice_sum(m, _form(a, c, z, x, -1), n, _form(b, c, z, y, -1), abs(c)))
 
 
 def s_mn_two(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
@@ -330,14 +338,14 @@ def s_mn_two(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fracti
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    return _lattice_sum(m, _form(a, b, y, x), n, _form(1, b, y), abs(b))
+    return Fraction(*_lattice_sum(m, _form(a, b, y, x), n, _form(1, b, y), abs(b)))
 
 
 def s_n_two(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Single-order projection: sum of B'_1((r+y)/b) B'_n(a(r+y)/b + x)."""
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b))
+    return Fraction(*_lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b)))
 
 
 def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
@@ -345,11 +353,9 @@ def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(c, "c")
-    return _lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c))
+    return Fraction(*_lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c)))
 
 
-# typed: a bool or float never finds the entry of the int or Fraction it equals.
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> int:
     """Count lattice triples on the common ladder through the three moduli.
 
@@ -363,13 +369,23 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     Each condition is one linear congruence in k; the two combine by the
     Chinese remainder theorem into one residue class, counted in O(log |c|).
     For positive moduli and zero shifts this is gcd(a, b, c).  The moduli
-    must be ints (not bools) and the shifts ints or Fractions, else
-    ``ValueError``.
+    must be nonzero ints (not bools) and the shifts ints or Fractions, else
+    ``ValueError``; they are admitted before the memo sees them.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
+        if type(v) is not int:
+            raise ValueError(f"modulus {name} must be an int, got {v!r}")
         _require_nonzero(v, name)
-    if type(z) not in _EXACT:  # x and y are admitted by _form
-        raise ValueError(f"shifts must be ints or Fractions, got {z!r}")
+    for v in (x, y, z):
+        if type(v) not in _EXACT:
+            raise ValueError(f"shifts must be ints or Fractions, got {v!r}")
+    return _count_ladder(a, b, c, x, y, z)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> int:
+    # count_ladder on admitted arguments; equal values give equal counts, so
+    # an int and the Fraction it equals may share an entry.
     _, fz = floor_frac(z)
     residue, step = 0, 1
     for top, shift in ((a, x), (b, y)):
@@ -385,6 +401,11 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
         residue, step = (residue + step * t) % lcm, lcm
     # 0 <= residue < step, so this is 0 when residue >= |c|.
     return (abs(c) - 1 - residue) // step + 1
+
+
+# The public name carries the views of its memo, as the families do.
+count_ladder.cache_info, count_ladder.cache_clear = \
+    _count_ladder.cache_info, _count_ladder.cache_clear
 
 
 class FamilySpec(NamedTuple):
@@ -474,7 +495,7 @@ for _spec in SUM_FAMILIES.values():
 
 def memos() -> dict[str, Callable]:
     """Every memo of this layer and the one kernel memo below it, by qualified name."""
-    return {"sums._lattice_sum": _lattice_sum, "sums.count_ladder": count_ladder,
+    return {"sums._lattice_sum": _lattice_sum, "sums.count_ladder": _count_ladder,
             "bernoulli._poly_at_pair": _poly_at_pair}
 
 

@@ -11,6 +11,8 @@ family, called directly, gets a float, a bool, a junk string or ``None`` in
 place of one argument, and so does each exact integer helper (``gcd_pos``,
 ``binomial``, ``mod_inverse``, ``bernoulli_number``,
 ``bernoulli_poly_coeffs``, ``bernoulli_poly_derivative_coeffs``).
+Every identity checker, called directly, gets one bad value in place of an
+order, a modulus or a shift; a direct call parses no rational literal.
 The only allowed outcomes are ``ValueError`` (which ``HypothesisError``
 subclasses) and, on the command line, exit code 2.  A report, a value or
 any other exception fails the test.
@@ -34,7 +36,8 @@ from dedsums.analytic import (ANALYTIC_TARGETS, fourier_partial_complex, lemma22
 from dedsums.bernoulli import (bernoulli_number, bernoulli_poly_coeffs,
                                bernoulli_poly_derivative_coeffs)
 from dedsums.exact import binomial, gcd_pos, mod_inverse, parse_rational
-from dedsums.reciprocity import IDENTITIES, random_case, run_case
+from dedsums.reciprocity import (IDENTITIES, check_dedekind, check_rademacher_rad, check_thm31,
+                                 random_case, run_case)
 from dedsums.sums import SUM_FAMILIES, SumRequest
 
 
@@ -323,3 +326,55 @@ def test_cli_rejects_every_defect(argv):
         except SystemExit as exc:
             code = exc.code
     assert code == 2, (argv, out.getvalue(), err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# The identity checkers called directly
+# ---------------------------------------------------------------------------
+
+# Also not a shift a checker takes: rational literals, which run_case parses
+# but a direct call does not.
+BAD_SHIFT = st.one_of(BAD_VALUE, st.sampled_from(["1/3", "0", "-2"]))
+
+
+@st.composite
+def checker_calls(draw):
+    """A valid direct call of one identity checker with one argument made inexact."""
+    identity = draw(st.sampled_from(sorted(IDENTITIES)))
+    spec = IDENTITIES[identity]
+    values = random_case(identity, random.Random(draw(st.integers(0, 2**16))))
+    name = draw(st.sampled_from(sorted(spec.params)))
+    values[name] = draw(BAD_INT if spec.params[name] is int else BAD_SHIFT)
+    return spec.fn, values
+
+
+@given(checker_calls())
+@settings(max_examples=300, deadline=None)
+def test_checkers_reject_every_inexact_argument(call):
+    fn, values = call
+    with pytest.raises(ValueError):
+        fn(**values)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (check_rademacher_rad, (2, 3, 0.1, 0)),      # passed on 0.1's binary value
+    (check_rademacher_rad, (2, 3, 0.5, "1/3")),  # passed on 1/2 and 1/3
+    (check_thm31, (1, 1, 2, "3", 0, 0, 0)),      # raised TypeError
+    (check_dedekind, (2.0, 3)),                  # raised TypeError
+])
+def test_checkers_take_no_float_or_string(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_checkers_take_int_shifts_as_run_case_does(identity):
+    # An int shift is the Fraction it equals: a direct call reports the case
+    # as run_case, which coerces it, does.
+    spec = IDENTITIES[identity]
+    values = random_case(identity, random.Random(3))
+    values.update({name: int(values[name].numerator // values[name].denominator)
+                   for name in spec.shifts})
+    direct = spec.fn(**values)
+    assert direct.to_json() == run_case(identity, values).to_json()
+    assert all(type(v) is Fraction for name, v in direct.case.params if name in spec.shifts)

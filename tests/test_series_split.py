@@ -4,7 +4,9 @@ A window of at least ``analytic._MIN_SPLIT`` terms is summed by the caller
 and one forked child.  For a real series the child's share comes back as an
 exact expansion (see ``analytic._series``); for a complex series the child
 sums the whole imaginary part and sends back its ``fsum`` (see
-``analytic._complex_series``).  The bit tests force the split on small
+``analytic._complex_series``), unless one part has only zero weights: that
+part is then not summed, and the other is split as a real series.  The bit
+tests force the split on small
 windows and compare with one streamed ``math.fsum`` per part by
 ``float.hex``.  The hygiene tests check that no child process and no pipe
 outlives a check, whether it returns or raises, that a complex series
@@ -413,3 +415,58 @@ def test_no_complex_fork_on_one_cpu(forks, monkeypatch):
     assert forks == []
     for value, (check, args) in zip(got, _COMPLEX_CHECKS):
         assert _same(value, _unsplit(check, *args))
+
+
+# ---------------------------------------------------------------------------
+# A complex series whose one part has only zero weights
+# ---------------------------------------------------------------------------
+
+@st.composite
+def one_part_zero(draw):
+    """A window whose complex weights have one part all zeros (of either sign)."""
+    weights, shift, power, lo, hi, pole = draw(windows(kinds=("real",)))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(weights),
+                          max_size=len(weights)))
+    pairs = zip(weights, zeros) if draw(st.booleans()) else zip(zeros, weights)
+    return [complex(re, im) for re, im in pairs], shift, power, lo, hi, pole
+
+
+@given(one_part_zero(), st.booleans())
+@example(([complex(1.0, -0.0)], 0.5, 2, -30, 30, None), True)      # lemma27 at integer x
+@example(([complex(-0.0, 0.0), complex(0.0, 2.0)], 0.0, 3, 1, 40, None), False)
+@settings(max_examples=150, deadline=None)
+def test_zero_part_skipped_with_the_bits_of_the_unskipped_sum(window, split):
+    weights, shift, power, lo, hi, pole = window
+    with _split(7) if split else nullcontext():
+        got = analytic._complex_series(weights, shift, power, lo, hi, pole)
+    want = complex(_one_fsum([w.real for w in weights], shift, power, lo, hi, pole),
+                   _one_fsum([w.imag for w in weights], shift, power, lo, hi, pole))
+    assert _bits(got) == _bits(want)
+
+
+def test_no_child_for_the_zero_part_at_an_integer_x(forks, monkeypatch):
+    # At an integer x every phase is 1: the imaginary part is not summed, so
+    # no child takes it; the real part is split as lemma24's series is.
+    wholes = []
+    real_child = analytic._Child
+
+    def child(terms, whole=False):
+        wholes.append(whole)
+        return real_child(terms, whole)
+
+    monkeypatch.setattr(analytic, "_Child", child)
+    with _leaves_nothing():
+        got = lemma27_check(2, 3, 1, F(4), 5_000)
+    assert wholes == [False] and len(forks) == 1
+    assert _same(got, _unsplit(lemma27_check, 2, 3, 1, F(4), 5_000))
+    assert got.approx == (analytic.lemma24_check(2, 3, 1, 5_000).approx, 0.0)
+
+
+def test_order_past_the_double_range_still_raises():
+    # Odd n at an integer x: both parts have only zero weights, so both are
+    # summed, and the powers overflow.
+    with pytest.raises(ValueError, match="order n=151 is beyond double precision"):
+        fourier_partial_complex(151, 0, 200)
+    # One part zero: the other part's powers raise.
+    with pytest.raises(ValueError, match="order j=200 is beyond double precision"):
+        lemma27_check(200, 3, 1, F(0), 100)

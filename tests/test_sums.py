@@ -5,6 +5,7 @@ literal loops of ``tests/oracles.py``.
 """
 
 import contextlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -325,6 +326,24 @@ class TestLadderCounter:
             with pytest.raises(ValueError):
                 count_ladder(*args)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_unhashable_arguments_rejected_in_either_memo_state(self, warm):
+        # The arguments are admitted before the memo hashes them.
+        sums_mod.clear_caches()
+        if warm:
+            assert count_ladder(1, 2, 3, 0, 0, 1) == 1
+        for args in [(1, 2, 3, 0, 0, [1]), ([1], 2, 3, 0, 0, 0), (1, 2, 3, {}, 0, 0)]:
+            with pytest.raises(ValueError):
+                count_ladder(*args)
+        info = count_ladder.cache_info()
+        assert (info.hits, info.misses) == (0, 1 if warm else 0)
+
+    def test_public_name_carries_the_views_of_its_memo(self):
+        memo = sums_mod.memos()["sums.count_ladder"]
+        assert memo is not count_ladder
+        assert count_ladder.cache_info == memo.cache_info
+        assert count_ladder.cache_clear == memo.cache_clear
+
     def test_matches_triple_enumeration_positive(self):
         shifts = [ZERO, F(1, 2), F(1, 3), F(2, 5)]
         for a in range(1, 7):
@@ -564,6 +583,11 @@ def _literal_lattice_sum(m, f1, n, f2, count, raw):
                 for r in range(1, count + 1)), ZERO)
 
 
+def _lcm_bernoulli_denominators(n):
+    """L_n, the lcm of the denominators of B_0..B_n, from the Worpitzky oracle."""
+    return math.lcm(*(oracles.worpitzky_poly(k, ZERO).denominator for k in range(n + 1)))
+
+
 # Integer shifts half the time: with integer x and z some r puts
 # a (r + z)/c - x on an integer, where the two degree-1 kernels differ.
 _integral_shifts = st.one_of(st.integers(-3, 3).map(Fraction),
@@ -582,4 +606,8 @@ class TestIntegerDirectRoute:
         f1, f2 = sums_mod._form(a, c, z, x, -1), sums_mod._form(b, c, z, y, -1)
         expect = _literal_lattice_sum(m, f1, n, f2, abs(c), raw)
         with forced_route(False):
-            assert sums_mod._lattice_sum(m, f1, n, f2, abs(c), raw) == expect
+            num, den = sums_mod._lattice_sum(m, f1, n, f2, abs(c), raw)
+        assert F(num, den) == expect
+        # The pair is not reduced: its denominator is L_m d1^m L_n d2^n.
+        assert den == _lcm_bernoulli_denominators(m) * f1[2] ** m \
+            * _lcm_bernoulli_denominators(n) * f2[2] ** n
