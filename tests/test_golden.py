@@ -9,7 +9,13 @@ how much of the stream the draws consumed.  It also holds the
 residual and counter bytes.  ``golden/analytic.json`` holds a seeded grid
 of truncation reports (the four checks, integer poles and integer points
 included) and ``fourier_partial_complex`` values, every float as
-``float.hex``.  ``golden/cli.json`` holds the
+``float.hex``.  ``golden/checker_calls.json`` holds, for every identity,
+``CHECKER_CALLS`` direct calls ``spec.fn(**values)`` of a seeded
+``random_case`` draw with one to three of its arguments replaced by a value
+of ``BAD_ARGS``, and each call's outcome: the report JSON, the clause and
+message of a ``HypothesisError``, or the message of a ``ValueError``; when
+several hypotheses fail at once, it pins which one is named.
+``golden/cli.json`` holds the
 stdout, stderr and exit code of ``cli.main`` on a fixed command list: every
 subcommand in every ``--format``, grid and seeded-random sweeps, invalid
 cases, ``--help`` of every parser, and usage errors.
@@ -18,7 +24,8 @@ cases, ``--help`` of every parser, and usage errors.
 the parameter registries drove the sampler and the command line (the reports
 before the product and three-modulus laws shared one binomial-side helper),
 ``analytic.json`` before Lemmas 2.4 and 2.7 shared one core, and all three
-must keep matching.  ``analytic.json`` is checked only under the Python
+must keep matching; ``checker_calls.json`` was recorded before the sixteen
+checkers shared one admission and reporting driver.  ``analytic.json`` is checked only under the Python
 version that recorded it.
 The four CSV records with a set ``--dieter`` flag were recorded again when
 CSV cells began to spell a set flag ``true``, as the ``pass`` cell does.  To record
@@ -39,7 +46,7 @@ import pytest
 
 from dedsums import cli
 from dedsums.analytic import ANALYTIC_TARGETS, fourier_partial_complex
-from dedsums.reciprocity import IDENTITIES, random_case, run_case
+from dedsums.reciprocity import IDENTITIES, HypothesisError, random_case, run_case
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = range(5)
@@ -48,6 +55,9 @@ REPORTS = 4
 COLUMNS = "80"
 ANALYTIC_SEED = 11
 ANALYTIC_DRAWS = 40
+CHECKER_CALLS = 40
+# Values put in place of a checker's arguments: valid or not, by position.
+BAD_ARGS = (0, -1, 2, 1.0, True, "1", None, Fraction(1, 2), -3)
 
 _FAMILY_ARGS = {
     "classical": "-a 2 -b 3",
@@ -167,6 +177,30 @@ def draw_cases() -> dict:
     return out
 
 
+def _checker_outcome(fn, values: dict) -> dict:
+    try:
+        return {"report": fn(**values).to_json()}
+    except HypothesisError as exc:
+        return {"clause": exc.clause, "error": str(exc)}
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
+def checker_calls() -> dict:
+    """{identity: [{"call": encoded arguments, outcome}, ...]}, one stream per identity."""
+    out = {}
+    for identity, spec in IDENTITIES.items():
+        rng = random.Random(f"checker:{identity}")
+        records = []
+        for _ in range(CHECKER_CALLS):
+            values = random_case(identity, rng)
+            for name in rng.sample(list(values), rng.randint(1, min(3, len(values)))):
+                values[name] = rng.choice(BAD_ARGS)
+            records.append({"call": _encode(values), **_checker_outcome(spec.fn, values)})
+        out[identity] = records
+    return out
+
+
 def _point(rng: random.Random) -> Fraction:
     # An integer one time in four, else a denominator of 1-12.
     den = 1 if rng.random() < 0.25 else rng.randint(1, 12)
@@ -227,6 +261,12 @@ def test_random_case_streams_match_golden():
     assert draw_cases() == golden
 
 
+def test_direct_checker_calls_match_golden():
+    golden = _load("checker_calls.json")
+    assert list(golden) == list(IDENTITIES)
+    assert checker_calls() == golden
+
+
 def test_analytic_report_bits_match_golden():
     golden = _load("analytic.json")
     if golden["python"] != list(sys.version_info[:2]):
@@ -264,6 +304,9 @@ def _record() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     with open(os.path.join(GOLDEN, "random_cases.json"), "w") as fh:
         json.dump(draw_cases(), fh, indent=1)
+        fh.write("\n")
+    with open(os.path.join(GOLDEN, "checker_calls.json"), "w") as fh:
+        json.dump(checker_calls(), fh, indent=1)
         fh.write("\n")
     with open(os.path.join(GOLDEN, "analytic.json"), "w") as fh:
         json.dump({"python": list(sys.version_info[:2]), "reports": analytic_reports()},
