@@ -216,5 +216,5 @@ def carlitz_kernel(n: int, x: Fraction) -> Fraction:
 
 
 def clear_eval_cache() -> None:
-    """Drop memoized kernel evaluations (used to bound memory in long sweeps)."""
+    """Drop the kernel memo alone; ``clear_caches()`` drops it with the others."""
     _poly_at_pair.cache_clear()

@@ -4,7 +4,9 @@ The universal scalar of the exact path is ``fractions.Fraction``: an
 arbitrary-precision rational that is always reduced and keeps a strictly
 positive denominator, so equality of values is structural equality.
 Everything here is a pure function over immutable values and is safe for
-unrestricted concurrent use.
+unrestricted concurrent use.  The helpers take exact values only: ints (not
+bools) and Fractions, or a ``str`` for :func:`parse_rational`; anything else
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,16 @@ _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(rf"({_INTEGER_RE.pattern})(?:/([0-9]+))?")
 
 
-def _as_fraction(x) -> Fraction:
-    # ``Fraction(x)``, but a Fraction itself is returned uncopied: the values
-    # that reach the rendering and rounding helpers mostly are Fractions.
-    return x if type(x) is Fraction else Fraction(x)
+def _as_fraction(x, fn: str) -> Fraction:
+    # An exact rational as a Fraction: a Fraction itself is returned uncopied
+    # (the values that reach the rendering and rounding helpers mostly are
+    # Fractions), an int becomes the Fraction it equals.  A float would run
+    # on its binary value and a bool pass for 0 or 1, so they are refused.
+    if type(x) is Fraction:
+        return x
+    if type(x) is not int:
+        raise ValueError(f"{fn} takes an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def _not_ints(fn: str, *values) -> ValueError:
@@ -66,19 +74,21 @@ def floor_frac(x: Fraction) -> tuple[int, Fraction]:
 
     Returns ``(q, t)`` with ``x == q + t`` and ``0 <= t < 1``.
     """
-    x = _as_fraction(x)
+    x = _as_fraction(x, "floor_frac")
     q = x.numerator // x.denominator
     return q, x - q
 
 
 def frac(x: Fraction) -> Fraction:
     """Fractional part ``{x}`` in ``[0, 1)``."""
-    x = _as_fraction(x)
+    x = _as_fraction(x, "frac")
     return x - (x.numerator // x.denominator)
 
 
 def sgn(x) -> int:
-    """Sign of ``x``: 0 when ``x == 0``, otherwise ``x/|x|``."""
+    """Sign of the int or Fraction ``x``: 0 when ``x == 0``, otherwise ``x/|x|``."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError(f"sgn takes an int or a Fraction, got {x!r}")
     if x > 0:
         return 1
     if x < 0:
@@ -88,7 +98,7 @@ def sgn(x) -> int:
 
 def is_integer(x: Fraction) -> bool:
     """Whether ``x`` is an integer (the indicator usually written delta_Z)."""
-    return _as_fraction(x).denominator == 1
+    return _as_fraction(x, "is_integer").denominator == 1
 
 
 def binomial(n: int, k: int) -> int:
@@ -120,8 +130,11 @@ def mod_inverse(a: int, m: int) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal like ``-7/3`` or ``5``.
 
-    The denominator, when present, must be a positive decimal integer.
+    The denominator, when present, must be a positive decimal integer; a
+    value that is not a ``str`` is refused.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"parse_rational takes a str, got {text!r}")
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid rational literal: {text!r}")
@@ -134,7 +147,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Format ``x`` as a literal that :func:`parse_rational` round-trips."""
-    x = _as_fraction(x)
+    x = _as_fraction(x, "format_rational")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

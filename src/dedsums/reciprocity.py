@@ -5,12 +5,15 @@ structurally independent routes -- the lattice-sum families from
 :mod:`dedsums.sums` on one side (by either of that module's routes, both of
 which regroup the defining sum), closed-form Bernoulli/gcd/lattice-counter
 expressions on the other -- and returns both values together with the exact
-residual ``lhs - rhs``.  The closed-form terms are assembled in integers: a
+residual ``lhs - rhs``.  All sixteen share one driver, so a checker's body
+is the law's mathematics: :func:`_admit` admits its arguments by the
+identity's entry in :data:`IDENTITIES`, the checker lists the terms of each
+side, and :func:`_report` folds each side's terms (:func:`_fold`) into one
+Fraction and builds the report.  The terms are assembled in integers: a
 kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), and
-so is each kernel value; :func:`_fold` adds the terms over one denominator,
-so a side is one Fraction.  The binomial sums of the product formulas and
-the three-modulus laws (:func:`_binomial_side`) build their two linear
-forms once per side and read each lattice sum from the core of
+so is each kernel value.  The binomial sums of the product formulas and the
+three-modulus laws (:func:`_binomial_side`) build their two linear forms
+once per side and read each lattice sum from the core of
 :mod:`dedsums.sums` as its integer pair; the other sums come from the
 public families.  A checker never "fixes" its inputs: parameters that
 violate the identity's hypotheses raise :class:`HypothesisError` naming the
@@ -156,11 +159,37 @@ class IdentityReport:
         return json.dumps(self.to_json_dict())
 
 
-def _report(identity: str, values: tuple, lhs: Fraction,
-            rhs: Fraction, counter: Optional[int] = None) -> IdentityReport:
-    # The case lists ``values`` under the identity's declared parameter names,
-    # then its flags (a flag's value is present only when it is set).  Both
-    # sides arrive as Fractions, so they are stored as they are.
+def _admit(identity: str, *values) -> tuple:
+    # A checker's arguments, in declared order, admitted by its registry entry:
+    # each order and modulus in turn an int (else ValueError) that passes its
+    # gate, then the coprime pairs, then each shift a Fraction, or an int as
+    # the Fraction it equals, as run_case coerces it (else ValueError); a
+    # flag is kept, as True, only when it is set.
+    spec = IDENTITIES[identity]
+    for v, (name, low, clause) in zip(values, spec.gates):
+        if type(v) is not int:
+            raise ValueError(f"{identity}: parameter {name!r} must be an int, got {v!r}")
+        if v == 0 if low is None else v < low:
+            raise HypothesisError(identity, clause)
+    for i, k, clause in spec.coprime_pairs:
+        if math.gcd(values[i], values[k]) != 1:
+            raise HypothesisError(identity, clause)
+    for i, name in enumerate(spec.shifts, len(spec.gates)):
+        v = values[i]
+        if type(v) is not Fraction:
+            if type(v) is not int:
+                raise ValueError(f"{identity}: parameter {name!r} must be an int or a "
+                                 f"Fraction, got {v!r}")
+            values = (*values[:i], Fraction(v), *values[i + 1:])
+    n = len(spec.params)
+    return values if len(values) == n else (*values[:n], *(True for f in values[n:] if f))
+
+
+def _report(identity: str, values: tuple, lhs_terms, rhs_terms,
+            counter: Optional[int] = None) -> IdentityReport:
+    # Each side is the one Fraction its _fold terms add up to.  The case
+    # lists ``values``, as _admit returned them, under the identity's columns.
+    lhs, rhs = Fraction(*_fold(lhs_terms)), Fraction(*_fold(rhs_terms))
     residual = lhs - rhs
     return IdentityReport(
         case=IdentityCase(identity, tuple(zip(IDENTITIES[identity].columns, values))),
@@ -169,21 +198,23 @@ def _report(identity: str, values: tuple, lhs: Fraction,
     )
 
 
-def _fold(*terms) -> tuple[int, int]:
+def _fold(terms) -> tuple[int, int]:
     """The sum of ``terms`` as one integer pair ``(num, den)``, ``den != 0``.
 
     A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
     nonzero, of either sign) times each factor: an integer pair ``(num,
     den)``, not necessarily reduced (a kernel value from :func:`_kernel_pair`,
-    a lattice sum from ``sums._lattice_sum``, a side from
-    :func:`_binomial_side`), or an int or a Fraction (a Bernoulli number, a
-    family's sum), each read by numerator and denominator.  The terms add up
-    over one running lcm of their denominators and build no Fraction; a side
-    is ``Fraction(*_fold(...))``, one Fraction at the end.
+    a lattice sum from ``sums._lattice_sum``), or an int or a Fraction (a
+    Bernoulli number, a family's sum), each read by numerator and
+    denominator.  A side of :func:`_binomial_side` is a term with no factor.
+    The terms add up over one running lcm of their denominators and build no
+    Fraction; :func:`_report` makes each side ``Fraction(*_fold(terms))``,
+    one Fraction at the end.
     """
     num, den = 0, 1
-    for top, bottom, *factors in terms:
-        for f in factors:
+    for term in terms:
+        top, bottom = term[0], term[1]
+        for f in term[2:]:
             fn, fd = f if type(f) is tuple else (f.numerator, f.denominator)
             top *= fn
             bottom *= fd
@@ -215,7 +246,7 @@ def _require(cond: bool, identity: str, clause: str) -> None:
 
 
 def _require_int(identity: str, name: str, value: int) -> None:
-    # An order or a modulus is an int; a bool, a float or a string is not.
+    # An order is an int; a bool, a float or a string is not.
     if type(value) is not int:
         raise ValueError(f"{identity}: parameter {name!r} must be an int, got {value!r}")
 
@@ -225,52 +256,15 @@ def _require_order(identity: str, name: str, value: int, minimum: int) -> None:
     _require(value >= minimum, identity, f"{name} >= {minimum}")
 
 
-def _shift(identity: str, name: str, value: Fraction) -> Fraction:
-    # A shift as the checks use it: a Fraction as it is, an int (not a bool)
-    # as the Fraction it equals, so that the report lists it as run_case's
-    # coerced value would be; anything else is refused.
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    raise ValueError(f"{identity}: parameter {name!r} must be an int or a Fraction, "
-                     f"got {value!r}")
-
-
-def _require_moduli(identity: str, **moduli: int) -> None:
-    # The registry's modulus hypotheses, the same data random_case samples
-    # by: every modulus an int, nonzero (signed) or >= 1, then, for coprime
-    # identities, the pairs (a, b), (b, c), (a, c) in that order.
-    spec = IDENTITIES[identity]
-    rule = "!= 0" if spec.signed else ">= 1"
-    for name, v in moduli.items():
-        _require_int(identity, name, v)
-        _require(v != 0 if spec.signed else v >= 1, identity, f"{name} {rule}")
-    if spec.coprime:
-        items = list(moduli.items())
-        for i, k in ((0, 1), (1, 2), (0, 2)):
-            if k < len(items):
-                (u, p), (v, q) = items[i], items[k]
-                _require(gcd_pos(p, q) == 1, identity, f"gcd({u}, {v}) = 1")
-
-
-def _require_mn(identity: str, m: int, n: int, **moduli: int) -> None:
-    # The gate the product and three-modulus laws share.
-    _require_order(identity, "m", m, 1)
-    _require_order(identity, "n", n, 1)
-    _require_moduli(identity, **moduli)
-
-
 # ---------------------------------------------------------------------------
 # Classical two- and three-term laws
 # ---------------------------------------------------------------------------
 
 def check_dedekind(a: int, b: int) -> IdentityReport:
     """s(a,b) + s(b,a) = -1/4 + (a/b + 1/(ab) + b/a)/12 for coprime a, b >= 1."""
-    _require_moduli("dedekind", a=a, b=b)
-    lhs = classical_s(a, b) + classical_s(b, a)
-    rhs = Fraction(*_fold((-1, 4), (a, 12 * b), (1, 12 * a * b), (b, 12 * a)))
-    return _report("dedekind", (a, b), lhs, rhs)
+    return _report("dedekind", _admit("dedekind", a, b),
+                   ((1, 1, classical_s(a, b)), (1, 1, classical_s(b, a))),
+                   ((-1, 4), (a, 12 * b), (1, 12 * a * b), (b, 12 * a)))
 
 
 def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> IdentityReport:
@@ -280,32 +274,36 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
     ``dieter=True`` the weaker single-modulus congruences mod b, mod c, mod a
     are used instead.  Both are valid representatives of the same summands.
     """
-    ident = "rademacher3"
-    _require_moduli(ident, a=a, b=b, c=c)
+    values = _admit("rademacher3", a, b, c, dieter)
     if dieter:
         a1, b1, c1 = mod_inverse(a, b), mod_inverse(b, c), mod_inverse(c, a)
     else:
         a1, b1, c1 = mod_inverse(a, b * c), mod_inverse(b, c * a), mod_inverse(c, a * b)
-    lhs = classical_s(b * c1, a) + classical_s(c * a1, b) + classical_s(a * b1, c)
-    rhs = Fraction(*_fold((-1, 4), (a, 12 * b * c), (b, 12 * c * a), (c, 12 * a * b)))
-    return _report(ident, (a, b, c, True) if dieter else (a, b, c), lhs, rhs)
+    return _report("rademacher3", values,
+                   ((1, 1, classical_s(b * c1, a)), (1, 1, classical_s(c * a1, b)),
+                    (1, 1, classical_s(a * b1, c))),
+                   ((-1, 4), (a, 12 * b * c), (b, 12 * c * a), (c, 12 * a * b)))
 
 
-def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
-    """Shifted two-term law for coprime a, b >= 1 (verbatim, no gcd powers)."""
-    ident = "rademacher15"
-    _require_moduli(ident, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
+def _shifted_two_term(identity: str, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
+    # The shifted two-term law with the gcd-corrected last term, for
+    # rademacher15 and eq319; under rademacher15's coprime gate g = 1.
+    values = a, b, x, y = _admit(identity, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
-    rhs = Fraction(*_fold(
+    g = gcd_pos(a, b)
+    return _report(identity, values,
+                   ((1, 1, rademacher_s(a, b, x, y)), (1, 1, rademacher_s(b, a, y, x))), (
         (-_dz(xn, xd) * _dz(yn, yd), 4),
         (1, 1, _kernel_pair(1, xn, xd), _kernel_pair(1, yn, yd)),  # ((x)) ((y))
         (a, 2 * b, _kernel_pair(2, yn, yd)),
         (b, 2 * a, _kernel_pair(2, xn, xd)),
-        (1, 2 * a * b, _kernel_pair(2, *_arg(a, y, b, x))),
+        (g * g, 2 * a * b, _kernel_pair(2, *_arg(a, y, b, x, g))),
     ))
-    return _report(ident, (a, b, x, y), lhs, rhs)
+
+
+def check_rademacher15(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
+    """Shifted two-term law for coprime a, b >= 1 (verbatim, no gcd powers)."""
+    return _shifted_two_term("rademacher15", a, b, x, y)
 
 
 def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
@@ -313,41 +311,24 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
 
     Valid for all a, b >= 1; reduces to the coprime law when gcd(a, b) = 1.
     """
-    ident = "eq319"
-    _require_moduli(ident, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
-    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    g = gcd_pos(a, b)
-    lhs = rademacher_s(a, b, x, y) + rademacher_s(b, a, y, x)
-    rhs = Fraction(*_fold(
-        (-_dz(xn, xd) * _dz(yn, yd), 4),
-        (1, 1, _kernel_pair(1, xn, xd), _kernel_pair(1, yn, yd)),  # ((x)) ((y))
-        (a, 2 * b, _kernel_pair(2, yn, yd)),
-        (b, 2 * a, _kernel_pair(2, xn, xd)),
-        (g * g, 2 * a * b, _kernel_pair(2, *_arg(a, y, b, x, g))),
-    ))
-    return _report(ident, (a, b, x, y), lhs, rhs)
+    return _shifted_two_term("eq319", a, b, x, y)
 
 
 def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Shifted three-term sawtooth law for a, b, c >= 1 with lattice counter N."""
-    ident = "berndt"
-    _require_moduli(ident, a=a, b=b, c=c)
-    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
+    values = a, b, c, x, y, z = _admit("berndt", a, b, c, x, y, z)
     n_count = count_ladder(a, b, c, x, y, z)
-    lhs = (
-        berndt_s(a, b, c, x, y, z)
-        + berndt_s(b, c, a, y, z, x)
-        + berndt_s(c, a, b, z, x, y)
-    )
     gab, gbc, gca = gcd_pos(a, b), gcd_pos(b, c), gcd_pos(c, a)
-    rhs = Fraction(*_fold(
+    return _report("berndt", values, (
+        (1, 1, berndt_s(a, b, c, x, y, z)),
+        (1, 1, berndt_s(b, c, a, y, z, x)),
+        (1, 1, berndt_s(c, a, b, z, x, y)),
+    ), (
         (-n_count, 4),
         (c * gab * gab, 2 * a * b, _kernel_pair(2, *_arg(a, y, -b, x, gab))),
         (a * gbc * gbc, 2 * b * c, _kernel_pair(2, *_arg(b, z, -c, y, gbc))),
         (b * gca * gca, 2 * c * a, _kernel_pair(2, *_arg(c, x, -a, z, gca))),
-    ))
-    return _report(ident, (a, b, c, x, y, z), lhs, rhs, counter=n_count)
+    ), counter=n_count)
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +337,27 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
 
 def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     """Odd-order two-term law: a b^n s_n(a,b) + b a^n s_n(b,a) in closed form."""
-    ident = "apostol"
-    _require_order(ident, "n", n, 1)
-    _require(n % 2 == 1, ident, "n odd")
-    _require_moduli(ident, a=a, b=b)
-    lhs = Fraction(*_fold((a * b**n, 1, apostol_s(n, a, b)), (b * a**n, 1, apostol_s(n, b, a))))
-    rhs = Fraction(*_fold(
+    _require_order("apostol", "n", n, 1)
+    _require(n % 2 == 1, "apostol", "n odd")
+    return _report("apostol", _admit("apostol", n, a, b),
+                   ((a * b**n, 1, apostol_s(n, a, b)), (b * a**n, 1, apostol_s(n, b, a))), (
         *((binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j), n + 1,
            bernoulli_number(j), bernoulli_number(n + 1 - j)) for j in range(n + 2)),
         (n, n + 1, bernoulli_number(n + 1)),
     ))
-    return _report(ident, (n, a, b), lhs, rhs)
 
 
 def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Shifted higher-order law on the raw kernel B_n({.}), coprime a, b >= 1."""
-    ident = "carlitz"
-    _require_order(ident, "n", n, 0)
-    _require_moduli(ident, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
+    values = n, a, b, x, y = _admit("carlitz", n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    lhs = Fraction(*_fold((a * b**n, 1, carlitz_s(n, a, b, x, y)),
-                          (b * a**n, 1, carlitz_s(n, b, a, y, x))))
-    rhs = Fraction(*_fold(
+    return _report("carlitz", values, ((a * b**n, 1, carlitz_s(n, a, b, x, y)),
+                                       (b * a**n, 1, carlitz_s(n, b, a, y, x))), (
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
            _kernel_pair(j, yn, yd, True), _kernel_pair(n + 1 - j, xn, xd, True))
           for j in range(n + 2)),
         (n, n + 1, _kernel_pair(n + 1, *_arg(a, y, b, x), True)),
     ))
-    return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +393,7 @@ def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
     # global integer factor (a sign, sgn(b), a power of c).  Each summand is
     # a term of _fold: the coefficient and c^e for e >= 0 above, k and c^-e
     # for e < 0 below, times S.  The side is their integer pair (num, den),
-    # which the caller adds into its own _fold.
+    # itself a term of the caller's side.
     coeff = scale * n * b ** (n - 1)
     terms = []
     for j in range(m + 1):
@@ -435,162 +408,134 @@ def _binomial_side(scale: int, m: int, n: int, a: int, b: int, derivative: bool,
         else:
             bottom *= c ** -e
         terms.append((top, bottom, _lattice_sum(j, f1, k, f2, count)))
-    return _fold(*terms)
+    return _fold(terms)
+
+
+def _product_side(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction, z: Fraction,
+                  derivative: bool) -> tuple[int, int]:
+    # One half of Thm 3.1 (Thm 3.3 when ``derivative``), with
+    # S(j, k): B'_j(a(l+z)/b - y) B'_k(x + (l+z)/b) over l = 1..|b|.
+    return _binomial_side(sgn(b), m, n, a, b, derivative,
+                          _form(a, b, z, y, -1), _form(1, b, z, x), abs(b))
+
+
+def _projection_side(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction,
+                     derivative: bool, sign: int = 1) -> tuple[int, int]:
+    # One half of Cor 3.2 (Cor 3.4 when ``derivative``), times ``sign``, with
+    # S(j, k): B'_j(a(r+y)/b + x) B'_k((r+y)/b) over r = 1..|b|.
+    return _binomial_side(sign * (-1) ** m * sgn(b), m, n, a, b, derivative,
+                          _form(a, b, y, x), _form(1, b, y), abs(b))
 
 
 def check_thm31(m: int, n: int, a: int, b: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Product of two periodized factors as binomial-weighted lattice sums."""
-    ident = "thm31"
-    _require_mn(ident, m, n, a=a, b=b)
-    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
+    values = m, n, a, b, x, y, z = _admit("thm31", m, n, a, b, x, y, z)
     u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
-    lhs = Fraction(*_fold((1, 1, _kernel_pair(m, *u), _kernel_pair(n, *v))))
-
-    def side(m, n, a, b, y, z):
-        # S(j, k): B'_j(a(l+z)/b - y) B'_k(x + (l+z)/b) over l = 1..|b|
-        return _binomial_side(sgn(b), m, n, a, b, False,
-                              _form(a, b, z, y, -1), _form(1, b, z, x), abs(b))
-
     g = gcd_pos(a, b)
-    gcd_term = (
-        (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * g ** (m + n),
-        math.factorial(m + n) * a**n * b**m,
-        _kernel_pair(m + n, *_arg(b, y, -a, z, g)),
-    )
-    delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(*u) * _dz(*v), 4)
-    rhs = Fraction(*_fold(side(m, n, a, b, y, z), side(n, m, b, a, z, y), gcd_term, delta_term))
-    return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
+    return _report("thm31", values, ((1, 1, _kernel_pair(m, *u), _kernel_pair(n, *v)),), (
+        _product_side(m, n, a, b, x, y, z, False),
+        _product_side(n, m, b, a, x, z, y, False),
+        ((-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * g ** (m + n),
+         math.factorial(m + n) * a**n * b**m,
+         _kernel_pair(m + n, *_arg(b, y, -a, z, g))),
+        (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(*u) * _dz(*v), 4),
+    ))
 
 
 def check_cor32(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Two-modulus projection of the product formula."""
-    ident = "cor32"
-    _require_mn(ident, m, n, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
+    values = m, n, a, b, x, y = _admit("cor32", m, n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-
-    def side(m, n, a, b, x, y):
-        # S(j, k): B'_j(a(r+y)/b + x) B'_k((r+y)/b) over r = 1..|b|
-        return _binomial_side((-1) ** m * sgn(b), m, n, a, b, False,
-                              _form(a, b, y, x), _form(1, b, y), abs(b))
-
-    lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x)))
     g = gcd_pos(a, b)
-    rhs = Fraction(*_fold(
+    return _report("cor32", values, (_projection_side(m, n, a, b, x, y, False),
+                                     _projection_side(n, m, b, a, y, x, False)), (
         (-_kd(1, m) * _kd(1, n) * sgn(a * b) * _dz(xn, xd) * _dz(yn, yd), 4),
         (1, 1, _kernel_pair(m, xn, xd), _kernel_pair(n, yn, yd)),
         (math.factorial(m) * math.factorial(n) * g ** (m + n),
          math.factorial(m + n) * a**n * b**m,
          _kernel_pair(m + n, *_arg(a, y, b, x, g))),
     ))
-    return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
 def check_thm33(m: int, n: int, a: int, b: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Derivative-level product formula (no 1/(m+n-j) weights)."""
-    ident = "thm33"
-    _require_mn(ident, m, n, a=a, b=b)
-    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
+    values = m, n, a, b, x, y, z = _admit("thm33", m, n, a, b, x, y, z)
     u, v = _arg(a, x, 1, y), _arg(b, x, 1, z)
-    lhs = Fraction(*_fold(
-        (m * a, 1, _kernel_pair(m - 1, *u), _kernel_pair(n, *v)),
-        (n * b, 1, _kernel_pair(m, *u), _kernel_pair(n - 1, *v)),
-    ))
-
-    def side(m, n, a, b, y, z):
-        # S(j, k) as in thm31
-        return _binomial_side(sgn(b), m, n, a, b, True,
-                              _form(a, b, z, y, -1), _form(1, b, z, x), abs(b))
-
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
-    delta_term = (-sgn(a * b) * _dz(*u) * _dz(*v) * weight, 4)
-    rhs = Fraction(*_fold(side(m, n, a, b, y, z), side(n, m, b, a, z, y), delta_term))
-    return _report(ident, (m, n, a, b, x, y, z), lhs, rhs)
+    return _report("thm33", values, ((m * a, 1, _kernel_pair(m - 1, *u), _kernel_pair(n, *v)),
+                                     (n * b, 1, _kernel_pair(m, *u), _kernel_pair(n - 1, *v))), (
+        _product_side(m, n, a, b, x, y, z, True),
+        _product_side(n, m, b, a, x, z, y, True),
+        (-sgn(a * b) * _dz(*u) * _dz(*v) * weight, 4),
+    ))
 
 
 def check_cor34(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Two-modulus projection of the derivative-level product formula."""
-    ident = "cor34"
-    _require_mn(ident, m, n, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
+    values = m, n, a, b, x, y = _admit("cor34", m, n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-
-    def side(m, n, a, b, x, y, sign=1):
-        # S(j, k) as in cor32
-        return _binomial_side(sign * (-1) ** m * sgn(b), m, n, a, b, True,
-                              _form(a, b, y, x), _form(1, b, y), abs(b))
-
-    lhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
-    rhs = Fraction(*_fold(
+    return _report("cor34", values, (_projection_side(m, n, a, b, x, y, True),
+                                     _projection_side(n, m, b, a, y, x, True, -1)), (
         (-sgn(a * b) * _dz(xn, xd) * _dz(yn, yd) * weight, 4),
         (n * b, 1, _kernel_pair(m, xn, xd), _kernel_pair(n - 1, yn, yd)),
         (-m * a, 1, _kernel_pair(m - 1, xn, xd), _kernel_pair(n, yn, yd)),
     ))
-    return _report(ident, (m, n, a, b, x, y), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Three-modulus laws for the generalized sums
 # ---------------------------------------------------------------------------
 
+def _three_modulus_side(m: int, n: int, a: int, b: int, c: int, x: Fraction, y: Fraction,
+                        z: Fraction, derivative: bool) -> tuple[int, int]:
+    # One half of Thm 4.1 (Thm 4.4 when ``derivative``), with
+    # S(j, k) = hwz_s(j, k, a, c, b, x, z, y), weighted by c^(1-k).
+    return _binomial_side((-1) ** (m + n - derivative) * sgn(b * c), m, n, a, b, derivative,
+                          _form(a, b, y, x, -1), _form(c, b, y, z, -1), abs(b), c, 1)
+
+
 def check_thm41(m: int, n: int, a: int, b: int, c: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Three-modulus law expressing one generalized sum through cyclic mates."""
-    ident = "thm41"
-    _require_mn(ident, m, n, a=a, b=b, c=c)
-    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
+    values = m, n, a, b, c, x, y, z = _admit("thm41", m, n, a, b, c, x, y, z)
     n_tilde = count_ladder(a, b, c, x, y, z)
-    lhs = hwz_s(m, n, a, b, c, x, y, z)
-
-    def side(m, n, a, b, x, y):
-        # S(j, k) = hwz_s(j, k, a, c, b, x, z, y), weighted by c^(1-k)
-        return _binomial_side((-1) ** (m + n) * sgn(b * c), m, n, a, b, False,
-                              _form(a, b, y, x, -1), _form(c, b, y, z, -1), abs(b), c, 1)
-
     g = gcd_pos(a, b)
-    gcd_term = (
-        (-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * c * g ** (m + n) * sgn(c),
-        math.factorial(m + n) * a**n * b**m,
-        _kernel_pair(m + n, *_arg(a, y, -b, x, g)),
-    )
-    delta_term = (-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4)
-    rhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x), gcd_term, delta_term))
-    return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
+    return _report("thm41", values, ((1, 1, hwz_s(m, n, a, b, c, x, y, z)),), (
+        _three_modulus_side(m, n, a, b, c, x, y, z, False),
+        _three_modulus_side(n, m, b, a, c, y, x, z, False),
+        ((-1) ** (n - 1) * math.factorial(m) * math.factorial(n) * c * g ** (m + n) * sgn(c),
+         math.factorial(m + n) * a**n * b**m,
+         _kernel_pair(m + n, *_arg(a, y, -b, x, g))),
+        (-_kd(1, m) * _kd(1, n) * sgn(a * b) * n_tilde, 4),
+    ), counter=n_tilde)
 
 
 def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityReport:
     """Shifted one-order projection, positive moduli, no coprimality needed."""
-    ident = "cor42"
-    _require_order(ident, "n", n, 0)
-    _require_moduli(ident, a=a, b=b)
-    x, y = _shift(ident, "x", x), _shift(ident, "y", y)
+    values = n, a, b, x, y = _admit("cor42", n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    lhs = Fraction(*_fold((a * b**n, 1, s_n_two(n, a, b, x, y)),
-                          (b * a**n, 1, s_n_two(n, b, a, y, x))))
     g = gcd_pos(a, b)
-    rhs = Fraction(*_fold(
+    return _report("cor42", values, ((a * b**n, 1, s_n_two(n, a, b, x, y)),
+                                     (b * a**n, 1, s_n_two(n, b, a, y, x))), (
         (-_kd(1, n) * _dz(xn, xd) * _dz(yn, yd) * a * b, 4),
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
            _kernel_pair(j, yn, yd), _kernel_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
         (n * g ** (n + 1), n + 1, _kernel_pair(n + 1, *_arg(a, y, b, x, g))),
     ))
-    return _report(ident, (n, a, b, x, y), lhs, rhs)
 
 
 def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     """Odd-order unshifted three-term law with free row index r."""
-    ident = "cor43"
-    _require_order(ident, "p", p, 1)
-    _require(p % 2 == 1, ident, "p odd")
-    _require_int(ident, "r", r)
-    _require(0 <= r <= p - 1, ident, "0 <= r <= p - 1")
-    _require_moduli(ident, a=a, b=b, c=c)
+    _require_order("cor43", "p", p, 1)
+    _require(p % 2 == 1, "cor43", "p odd")
+    _require_int("cor43", "r", r)
+    _require(0 <= r <= p - 1, "cor43", "0 <= r <= p - 1")
+    values = _admit("cor43", p, r, a, b, c)
     n_hat = count_ladder(a, b, c, 0, 0, 0)
-
-    lhs = Fraction(*_fold(
+    return _report("cor43", values, (
         *((binomial(p + 1, j) * binomial(p - j, p - 1 - r) * (-1) ** (j + 1)
            * a**p * b ** (p + 1 - j) * c**j, 1,
            s_mn_plain(j, p + 1 - j, b, c, a)) for j in range(1, r + 2)),
@@ -599,59 +544,44 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
            s_mn_plain(j, p + 1 - j, a, c, b)) for j in range(1, p - r + 1)),
         (binomial(p + 1, r + 1) * a ** (r + 1) * b ** (p - r) * c**p, 1,
          s_mn_plain(p - r, r + 1, a, b, c)),
-    ))
-
-    rhs = Fraction(*_fold(
+    ), (
         (binomial(p, r) * a ** (p + 1) * gcd_pos(b, c) ** (p + 1)
          + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
          + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1), 1, bernoulli_number(p + 1)),
         (-_kd(1, p) * a * b * c * n_hat, 2),
-    ))
-    return _report(ident, (p, r, a, b, c), lhs, rhs, counter=n_hat)
+    ), counter=n_hat)
 
 
 def check_thm44(m: int, n: int, a: int, b: int, c: int,
                 x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Derivative-level three-modulus law."""
-    ident = "thm44"
-    _require_mn(ident, m, n, a=a, b=b, c=c)
-    x, y, z = _shift(ident, "x", x), _shift(ident, "y", y), _shift(ident, "z", z)
+    values = m, n, a, b, c, x, y, z = _admit("thm44", m, n, a, b, c, x, y, z)
     n_tilde = count_ladder(a, b, c, x, y, z)
-    lhs = Fraction(*_fold(
-        (m * a, 1, hwz_s(m - 1, n, a, b, c, x, y, z)),
-        (n * b, 1, hwz_s(m, n - 1, a, b, c, x, y, z)),
-    ))
-
-    def side(m, n, a, b, x, y):
-        # S(j, k) as in thm41, weighted by c^(1-k)
-        return _binomial_side((-1) ** (m + n - 1) * sgn(b * c), m, n, a, b, True,
-                              _form(a, b, y, x, -1), _form(c, b, y, z, -1), abs(b), c, 1)
-
     weight = _kd(1, m - 1) * _kd(1, n) * m * a + _kd(1, m) * _kd(1, n - 1) * n * b
-    delta_term = (-sgn(a * b) * weight * n_tilde, 4)
-    rhs = Fraction(*_fold(side(m, n, a, b, x, y), side(n, m, b, a, y, x), delta_term))
-    return _report(ident, (m, n, a, b, c, x, y, z), lhs, rhs, counter=n_tilde)
+    return _report("thm44", values, ((m * a, 1, hwz_s(m - 1, n, a, b, c, x, y, z)),
+                                     (n * b, 1, hwz_s(m, n - 1, a, b, c, x, y, z))), (
+        _three_modulus_side(m, n, a, b, c, x, y, z, True),
+        _three_modulus_side(n, m, b, a, c, y, x, z, True),
+        (-sgn(a * b) * weight * n_tilde, 4),
+    ), counter=n_tilde)
 
 
 def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
     """Derivative-level unshifted three-term law for positive moduli."""
-    ident = "cor45"
-    _require_mn(ident, m, n, a=a, b=b, c=c)
+    values = _admit("cor45", m, n, a, b, c)
     n_hat = count_ladder(a, b, c, 0, 0, 0)
-
-    def side(m, n, a, b, sign=1):
-        # S(j, k) = s_mn_plain(j, k, a, c, b), weighted by c^(j-m) = c^(n-1-k)
-        return _binomial_side(sign * (-1) ** m * c ** (m + 1), m, n, a, b, True,
-                              _form(a, b, 0), _form(c, b, 0), abs(b), c, n - 1)
-
-    lhs = Fraction(*_fold(side(m, n, a, b), side(n, m, b, a, -1)))
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
-    rhs = Fraction(*_fold(
+    # Each half: S(j, k) = s_mn_plain(j, k, a, c, b), weighted by c^(j-m) = c^(n-1-k).
+    return _report("cor45", values, (
+        _binomial_side((-1) ** m * c ** (m + 1), m, n, a, b, True,
+                       _form(a, b, 0), _form(c, b, 0), abs(b), c, n - 1),
+        _binomial_side(-(-1) ** n * c ** (n + 1), n, m, b, a, True,
+                       _form(b, a, 0), _form(c, a, 0), abs(a), c, m - 1),
+    ), (
         (n * b * c ** (m + n - 1), 1, s_mn_plain(m, n - 1, a, -b, c)),
         (-m * a * c ** (m + n - 1), 1, s_mn_plain(n, m - 1, b, -a, c)),
         (-weight * c * c * n_hat, 4),
-    ))
-    return _report(ident, (m, n, a, b, c), lhs, rhs, counter=n_hat)
+    ), counter=n_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +593,13 @@ class IdentitySpec:
     """Declared parameters of one identity; they drive the CLI, sweeps and sampling.
 
     The parameters are the orders, then the moduli (integers), then the
-    shifts (rationals).  The rest is the sampling data of :func:`random_case`:
-    each order's choices (a sequence, or a function of the values drawn so
-    far), whether moduli may be negative, and whether they must be pairwise
-    coprime.
+    shifts (rationals).  The rest is the sampling data of :func:`random_case`
+    and the hypotheses :func:`_admit` gates a call by: each order's choices
+    (a sequence, or a function of the values drawn so far), whether moduli
+    may be negative (else they are >= 1), whether they must be pairwise
+    coprime, and ``minimum``, the least value of every order.  The tighter
+    order clauses of ``apostol`` and ``cor43`` (an odd order, the row range
+    ``0 <= r <= p - 1``) are gated by their checkers, ahead of the rest.
     """
 
     name: str
@@ -678,10 +611,27 @@ class IdentitySpec:
     flags: tuple[str, ...] = ()
     signed: bool = False
     coprime: bool = False
+    minimum: int = 1
 
     @cached_property
     def params(self) -> Params:
         return declare((*self.orders, *self.moduli), self.shifts)
+
+    @cached_property
+    def gates(self) -> tuple[tuple[str, Optional[int], str], ...]:
+        """(name, least value, clause) of each order and modulus; None is "nonzero"."""
+        rule = (None, "!= 0") if self.signed else (1, ">= 1")
+        return (*((name, self.minimum, f"{name} >= {self.minimum}") for name in self.orders),
+                *((name, rule[0], f"{name} {rule[1]}") for name in self.moduli))
+
+    @cached_property
+    def coprime_pairs(self) -> tuple[tuple[int, int, str], ...]:
+        """(index, index, clause) of each modulus pair that must be coprime, in gate order."""
+        if not self.coprime:
+            return ()
+        first, count = len(self.orders), len(self.moduli)
+        return tuple((first + i, first + k, f"gcd({self.moduli[i]}, {self.moduli[k]}) = 1")
+                     for i, k in ((0, 1), (1, 2), (0, 2)) if k < count)
 
     @cached_property
     def columns(self) -> tuple[str, ...]:
@@ -703,15 +653,15 @@ IDENTITIES: dict[str, IdentitySpec] = {
         IdentitySpec("eq319", check_rademacher_rad, {}, _AB, _XY),
         IdentitySpec("berndt", check_berndt, {}, _ABC, _XYZ),
         IdentitySpec("apostol", check_apostol, {"n": (1, 3, 5, 7)}, _AB, coprime=True),
-        IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True),
+        IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True, minimum=0),
         IdentitySpec("thm31", check_thm31, _MN4, _AB, _XYZ, signed=True),
         IdentitySpec("cor32", check_cor32, _MN4, _AB, _XY, signed=True),
         IdentitySpec("thm33", check_thm33, _MN4, _AB, _XYZ, signed=True),
         IdentitySpec("cor34", check_cor34, _MN4, _AB, _XY, signed=True),
         IdentitySpec("thm41", check_thm41, _MN3, _ABC, _XYZ, signed=True),
-        IdentitySpec("cor42", check_cor42, _N7, _AB, _XY),
+        IdentitySpec("cor42", check_cor42, _N7, _AB, _XY, minimum=0),
         IdentitySpec("cor43", check_cor43,
-                     {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC),
+                     {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC, minimum=0),
         IdentitySpec("thm44", check_thm44, _MN3, _ABC, _XYZ, signed=True),
         IdentitySpec("cor45", check_cor45, _MN3, _ABC),
     ]

@@ -35,7 +35,8 @@ from dedsums.analytic import (ANALYTIC_TARGETS, fourier_partial_complex, lemma22
                               lemma28_exact)
 from dedsums.bernoulli import (bernoulli_number, bernoulli_poly_coeffs,
                                bernoulli_poly_derivative_coeffs)
-from dedsums.exact import binomial, gcd_pos, mod_inverse, parse_rational
+from dedsums.exact import (binomial, floor_frac, format_rational, frac, gcd_pos, is_integer,
+                           mod_inverse, parse_rational, sgn)
 from dedsums.reciprocity import (IDENTITIES, check_dedekind, check_rademacher_rad, check_thm31,
                                  random_case, run_case)
 from dedsums.sums import SUM_FAMILIES, SumRequest
@@ -287,6 +288,23 @@ def test_exact_helpers_reject_every_bad_int(call, data):
 def test_exact_helpers_take_no_float_bool_or_fraction(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+@pytest.mark.parametrize("fn,arg", [
+    (floor_frac, 0.1),        # was (0, 3602879701896397/36028797018963968)
+    (frac, 0.1),              # was 3602879701896397/36028797018963968
+    (is_integer, 2.0),        # was True
+    (format_rational, 0.5),   # was '1/2'
+    (floor_frac, True),       # was (1, 0)
+    (is_integer, "3"),        # was True
+    (sgn, "x"),               # was TypeError
+    (sgn, 0.5),               # was 1
+    (parse_rational, 5),      # was TypeError
+    (parse_rational, None),   # was TypeError
+])
+def test_exact_rational_helpers_take_no_float_bool_or_junk(fn, arg):
+    with pytest.raises(ValueError):
+        fn(arg)
 
 
 # subcommand -> the registry its parsers are built from

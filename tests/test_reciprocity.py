@@ -665,3 +665,48 @@ def test_binomial_sides_equal_sides_folded_from_the_families(identity, seed):
     assert report.passed
     assert all(type(num) is int and type(den) is int and den for num, den in sides)
     assert [F(*side) for side in sides] == _reference_sides(identity, params)
+
+
+# ---------------------------------------------------------------------------
+# Term ablation: every term of every law is needed
+# ---------------------------------------------------------------------------
+
+ABLATION_SEEDS = range(400)
+
+
+def _folding(act):
+    """A stand-in for ``reciprocity._report`` that hands the two sides' term
+    lists to ``act`` (which may change them in place) before folding them."""
+    real = rec_mod._report
+
+    def report(identity, values, lhs_terms, rhs_terms, counter=None):
+        sides = [list(lhs_terms), list(rhs_terms)]
+        act(sides)
+        return real(identity, values, *sides, counter)
+    return report
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+def test_every_term_of_every_law_is_needed(identity):
+    """With any one term of either side dropped, some seeded case fails.
+
+    ``_report`` is the one place where the terms of both sides are folded,
+    so a patched ``_report`` drops the term at one index of one side.  For
+    every index that occurs in the draws, one of the ``random_case`` draws
+    of seeds 0..399 must then leave a nonzero residual: a term that never
+    changes a residual would not be tested by any pass.
+    """
+    cases = [random_case(identity, random.Random(seed)) for seed in ABLATION_SEEDS]
+    sizes = []
+    with mock.patch.object(rec_mod, "_report",
+                           _folding(lambda sides: sizes.append([len(t) for t in sides]))):
+        for case in cases:
+            assert run_case(identity, case).passed
+    for side in (0, 1):
+        for index in range(max(size[side] for size in sizes)):
+            def drop(sides):
+                del sides[side][index]
+            with mock.patch.object(rec_mod, "_report", _folding(drop)):
+                assert any(run_case(identity, case).residual != 0
+                           for case, size in zip(cases, sizes) if size[side] > index), \
+                    (identity, "lhs rhs".split()[side], index)
