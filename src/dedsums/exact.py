@@ -130,8 +130,7 @@ def mod_inverse(a: int, m: int) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal like ``-7/3`` or ``5``.
 
-    The denominator, when present, must be a positive decimal integer; a
-    value that is not a ``str`` is refused.
+    The denominator, when present, must be a positive decimal integer.
     """
     if not isinstance(text, str):
         raise ValueError(f"parse_rational takes a str, got {text!r}")

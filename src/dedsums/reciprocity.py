@@ -182,7 +182,9 @@ def _admit(identity: str, *values) -> tuple:
                                  f"Fraction, got {v!r}")
             values = (*values[:i], Fraction(v), *values[i + 1:])
     n = len(spec.params)
-    return values if len(values) == n else (*values[:n], *(True for f in values[n:] if f))
+    if len(values) > n:  # the flags
+        values = (*values[:n], *(True for flag in values[n:] if flag))
+    return values
 
 
 def _report(identity: str, values: tuple, lhs_terms, rhs_terms,

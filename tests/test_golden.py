@@ -23,10 +23,10 @@ cases, ``--help`` of every parser, and usage errors.
 ``random_cases.json`` and ``cli.json`` were recorded from the code before
 the parameter registries drove the sampler and the command line (the reports
 before the product and three-modulus laws shared one binomial-side helper),
-``analytic.json`` before Lemmas 2.4 and 2.7 shared one core, and all three
-must keep matching; ``checker_calls.json`` was recorded before the sixteen
-checkers shared one admission and reporting driver.  ``analytic.json`` is checked only under the Python
-version that recorded it.
+``analytic.json`` before Lemmas 2.4 and 2.7 shared one core,
+``checker_calls.json`` before the sixteen checkers shared one admission and
+reporting driver, and all four must keep matching.  ``analytic.json`` is
+checked only under the Python version that recorded it.
 The four CSV records with a set ``--dieter`` flag were recorded again when
 CSV cells began to spell a set flag ``true``, as the ``pass`` cell does.  To record
 them again (only when an output is meant to change), run

@@ -709,4 +709,4 @@ def test_every_term_of_every_law_is_needed(identity):
             with mock.patch.object(rec_mod, "_report", _folding(drop)):
                 assert any(run_case(identity, case).residual != 0
                            for case, size in zip(cases, sizes) if size[side] > index), \
-                    (identity, "lhs rhs".split()[side], index)
+                    (identity, ("lhs", "rhs")[side], index)
