@@ -149,11 +149,13 @@ def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
 # both lattice routes and every kernel pair (bound once: it is called per sum,
 # per kernel pair and per memo miss).
 _scaled_row = _CACHE.scaled_row
+_SCALED = _CACHE._scaled  # the same table as a list, which _scale reads unchecked
 
 
 def _scale(n: int, d: int) -> int:
-    # L_n d^n: the denominator of every kernel value at a point t/d.
-    return _scaled_row(n)[0] * d ** n
+    # L_n d^n: the denominator of every kernel value at a point t/d.  L_n is
+    # read from the table once it holds order n; the checked call grows it.
+    return (_SCALED[n][0] if 0 <= n < len(_SCALED) else _scaled_row(n)[0]) * d ** n
 
 
 def _scaled_poly(n: int, t: int, d: int) -> int:

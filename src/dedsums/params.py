@@ -37,6 +37,8 @@ def lookup(registry: Mapping, tag, what: str):
 
 
 def _coerce_value(owner: str, name: str, kind: type, value):
+    if type(value) is kind:  # an int (not a bool) or a Fraction, as declared
+        return value
     if not isinstance(value, bool):
         if isinstance(value, int):
             return value if kind is int else Fraction(value)

@@ -14,11 +14,16 @@ kernel argument such as ``a x + y`` is an integer pair (:func:`_arg`), and
 so is each kernel value.  The binomial sums of the product formulas and the
 three-modulus laws (:func:`_binomial_side`) build their two linear forms
 once per side and read each lattice sum from the core of
-:mod:`dedsums.sums` as its integer pair; the other sums come from the
-public families.  A checker never "fixes" its inputs: parameters that
-violate the identity's hypotheses raise :class:`HypothesisError` naming the
-violated clause, and an order or modulus that is not an ``int``, or a shift
-that is neither an ``int`` nor a ``Fraction``, raises ``ValueError``.
+:mod:`dedsums.sums` as its integer pair.  Every other lattice sum is the
+integer pair of its family's helper in that module (``sums._classical``
+for ``classical_s``, and so on), and the lattice counters of ``berndt``,
+``cor43`` and ``cor45`` come from the counter's memo, on admitted
+arguments.  Only ``thm41`` and ``thm44`` call public families: ``hwz_s``
+for their left-hand sums and ``count_ladder``.  A checker never "fixes"
+its inputs: parameters that violate the identity's hypotheses raise
+:class:`HypothesisError` naming the violated clause, and an order or
+modulus that is not an ``int``, or a shift that is neither an ``int`` nor
+a ``Fraction``, raises ``ValueError``.
 
 The identity tags understood by :func:`run_case`:
 
@@ -53,12 +58,21 @@ from typing import Callable, Mapping, Optional, Sequence
 from .bernoulli import _kernel_pair, bernoulli_number
 from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
 from .params import Params, coerce, declare, lookup
-# s_mn_two is not called here since the cor32/cor34 sides read the lattice
-# core; it stays importable as reciprocity.s_mn_two, a name the benchmark's
-# tracer wraps in this module as it does every family.
+# The checkers read the pair helpers and the core; of the public families
+# only hwz_s and count_ladder are called here (by thm41 and thm44).  Every
+# family stays importable from this module, where the benchmark's tracer
+# wraps each of them by name.
 from .sums import (
+    _apostol,
+    _berndt,
+    _carlitz,
+    _classical,
+    _count_ladder,
     _form,
     _lattice_sum,
+    _plain,
+    _rademacher,
+    _two_n,
     apostol_s,
     berndt_s,
     cache_stats,
@@ -156,7 +170,31 @@ class IdentityReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """``json.dumps(self.to_json_dict())``, byte for byte, as one f-string."""
+        case, counter = self.case, self.counter
+        params = ", ".join([f"{_quote(name)}: {_json_value(v)}" for name, v in case.params])
+        tail = "" if counter is None else f', "counter": {_json_value(counter)}'
+        return (f'{{"identity": {_quote(case.identity)}, "params": {{{params}}}, '
+                f'"lhs": "{format_rational(self.lhs)}", "rhs": "{format_rational(self.rhs)}", '
+                f'"residual": "{format_rational(self.residual)}", '
+                f'"pass": {_json_value(self.passed)}{tail}}}')
+
+
+# A str as json.dumps writes it (ASCII, escaped), for names in IdentityReport.to_json.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_value(v) -> str:
+    # A value as json.dumps writes it in a report's dict: an int by its
+    # digits, a bool as true/false, a Fraction as its quoted literal (as
+    # to_json_dict formats it), anything else by json.dumps itself.
+    if type(v) is int:
+        return repr(v)
+    if type(v) is bool:
+        return "true" if v else "false"
+    if isinstance(v, Fraction):
+        return f'"{format_rational(v)}"'
+    return json.dumps(v)
 
 
 def _admit(identity: str, *values) -> tuple:
@@ -164,7 +202,8 @@ def _admit(identity: str, *values) -> tuple:
     # each order and modulus in turn an int (else ValueError) that passes its
     # gate, then the coprime pairs, then each shift a Fraction, or an int as
     # the Fraction it equals, as run_case coerces it (else ValueError); a
-    # flag is kept, as True, only when it is set.
+    # flag must be a bool, as run_case has it (else ValueError), and is kept,
+    # as True, only when it is set.
     spec = IDENTITIES[identity]
     for v, (name, low, clause) in zip(values, spec.gates):
         if type(v) is not int:
@@ -183,20 +222,24 @@ def _admit(identity: str, *values) -> tuple:
             values = (*values[:i], Fraction(v), *values[i + 1:])
     n = len(spec.params)
     if len(values) > n:  # the flags
+        for name, flag in zip(spec.flags, values[n:]):
+            if type(flag) is not bool:
+                raise ValueError(f"{identity}: flag {name!r} must be a bool, got {flag!r}")
         values = (*values[:n], *(True for flag in values[n:] if flag))
     return values
 
 
 def _report(identity: str, values: tuple, lhs_terms, rhs_terms,
             counter: Optional[int] = None) -> IdentityReport:
-    # Each side is the one Fraction its _fold terms add up to.  The case
-    # lists ``values``, as _admit returned them, under the identity's columns.
-    lhs, rhs = Fraction(*_fold(lhs_terms)), Fraction(*_fold(rhs_terms))
-    residual = lhs - rhs
+    # Each side is the one Fraction its _fold terms add up to, and the
+    # residual is formed from the two integer pairs.  The case lists
+    # ``values``, as _admit returned them, under the identity's columns.
+    (ln, ld), (rn, rd) = _fold(lhs_terms), _fold(rhs_terms)
+    diff = ln * rd - rn * ld
     return IdentityReport(
         case=IdentityCase(identity, tuple(zip(IDENTITIES[identity].columns, values))),
-        lhs=lhs, rhs=rhs, residual=residual, passed=(residual == 0),
-        counter=counter,
+        lhs=Fraction(ln, ld), rhs=Fraction(rn, rd), residual=Fraction(diff, ld * rd),
+        passed=(diff == 0), counter=counter,
     )
 
 
@@ -206,12 +249,12 @@ def _fold(terms) -> tuple[int, int]:
     A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
     nonzero, of either sign) times each factor: an integer pair ``(num,
     den)``, not necessarily reduced (a kernel value from :func:`_kernel_pair`,
-    a lattice sum from ``sums._lattice_sum``), or an int or a Fraction (a
-    Bernoulli number, a family's sum), each read by numerator and
-    denominator.  A side of :func:`_binomial_side` is a term with no factor.
-    The terms add up over one running lcm of their denominators and build no
-    Fraction; :func:`_report` makes each side ``Fraction(*_fold(terms))``,
-    one Fraction at the end.
+    a lattice sum from ``sums._lattice_sum`` or a family's pair helper), or
+    an int or a Fraction (a Bernoulli number, the ``hwz_s`` sums of thm41
+    and thm44), each read by numerator and denominator.  A side of
+    :func:`_binomial_side` is a term with no factor.  The terms add up over
+    one running lcm of their denominators and build no Fraction;
+    :func:`_report` makes each side one Fraction at the end.
     """
     num, den = 0, 1
     for term in terms:
@@ -265,7 +308,7 @@ def _require_order(identity: str, name: str, value: int, minimum: int) -> None:
 def check_dedekind(a: int, b: int) -> IdentityReport:
     """s(a,b) + s(b,a) = -1/4 + (a/b + 1/(ab) + b/a)/12 for coprime a, b >= 1."""
     return _report("dedekind", _admit("dedekind", a, b),
-                   ((1, 1, classical_s(a, b)), (1, 1, classical_s(b, a))),
+                   ((1, 1, _classical(a, b)), (1, 1, _classical(b, a))),
                    ((-1, 4), (a, 12 * b), (1, 12 * a * b), (b, 12 * a)))
 
 
@@ -282,8 +325,8 @@ def check_rademacher_three(a: int, b: int, c: int, dieter: bool = False) -> Iden
     else:
         a1, b1, c1 = mod_inverse(a, b * c), mod_inverse(b, c * a), mod_inverse(c, a * b)
     return _report("rademacher3", values,
-                   ((1, 1, classical_s(b * c1, a)), (1, 1, classical_s(c * a1, b)),
-                    (1, 1, classical_s(a * b1, c))),
+                   ((1, 1, _classical(b * c1, a)), (1, 1, _classical(c * a1, b)),
+                    (1, 1, _classical(a * b1, c))),
                    ((-1, 4), (a, 12 * b * c), (b, 12 * c * a), (c, 12 * a * b)))
 
 
@@ -294,7 +337,7 @@ def _shifted_two_term(identity: str, a: int, b: int, x: Fraction, y: Fraction) -
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     g = gcd_pos(a, b)
     return _report(identity, values,
-                   ((1, 1, rademacher_s(a, b, x, y)), (1, 1, rademacher_s(b, a, y, x))), (
+                   ((1, 1, _rademacher(a, b, x, y)), (1, 1, _rademacher(b, a, y, x))), (
         (-_dz(xn, xd) * _dz(yn, yd), 4),
         (1, 1, _kernel_pair(1, xn, xd), _kernel_pair(1, yn, yd)),  # ((x)) ((y))
         (a, 2 * b, _kernel_pair(2, yn, yd)),
@@ -319,12 +362,12 @@ def check_rademacher_rad(a: int, b: int, x: Fraction, y: Fraction) -> IdentityRe
 def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> IdentityReport:
     """Shifted three-term sawtooth law for a, b, c >= 1 with lattice counter N."""
     values = a, b, c, x, y, z = _admit("berndt", a, b, c, x, y, z)
-    n_count = count_ladder(a, b, c, x, y, z)
+    n_count = _count_ladder(a, b, c, x, y, z)
     gab, gbc, gca = gcd_pos(a, b), gcd_pos(b, c), gcd_pos(c, a)
     return _report("berndt", values, (
-        (1, 1, berndt_s(a, b, c, x, y, z)),
-        (1, 1, berndt_s(b, c, a, y, z, x)),
-        (1, 1, berndt_s(c, a, b, z, x, y)),
+        (1, 1, _berndt(a, b, c, x, y, z)),
+        (1, 1, _berndt(b, c, a, y, z, x)),
+        (1, 1, _berndt(c, a, b, z, x, y)),
     ), (
         (-n_count, 4),
         (c * gab * gab, 2 * a * b, _kernel_pair(2, *_arg(a, y, -b, x, gab))),
@@ -342,7 +385,7 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     _require_order("apostol", "n", n, 1)
     _require(n % 2 == 1, "apostol", "n odd")
     return _report("apostol", _admit("apostol", n, a, b),
-                   ((a * b**n, 1, apostol_s(n, a, b)), (b * a**n, 1, apostol_s(n, b, a))), (
+                   ((a * b**n, 1, _apostol(n, a, b)), (b * a**n, 1, _apostol(n, b, a))), (
         *((binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j), n + 1,
            bernoulli_number(j), bernoulli_number(n + 1 - j)) for j in range(n + 2)),
         (n, n + 1, bernoulli_number(n + 1)),
@@ -353,8 +396,8 @@ def check_carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityR
     """Shifted higher-order law on the raw kernel B_n({.}), coprime a, b >= 1."""
     values = n, a, b, x, y = _admit("carlitz", n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-    return _report("carlitz", values, ((a * b**n, 1, carlitz_s(n, a, b, x, y)),
-                                       (b * a**n, 1, carlitz_s(n, b, a, y, x))), (
+    return _report("carlitz", values, ((a * b**n, 1, _carlitz(n, a, b, x, y)),
+                                       (b * a**n, 1, _carlitz(n, b, a, y, x))), (
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
            _kernel_pair(j, yn, yd, True), _kernel_pair(n + 1 - j, xn, xd, True))
           for j in range(n + 2)),
@@ -520,8 +563,8 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
     values = n, a, b, x, y = _admit("cor42", n, a, b, x, y)
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     g = gcd_pos(a, b)
-    return _report("cor42", values, ((a * b**n, 1, s_n_two(n, a, b, x, y)),
-                                     (b * a**n, 1, s_n_two(n, b, a, y, x))), (
+    return _report("cor42", values, ((a * b**n, 1, _two_n(n, a, b, x, y)),
+                                     (b * a**n, 1, _two_n(n, b, a, y, x))), (
         (-_kd(1, n) * _dz(xn, xd) * _dz(yn, yd) * a * b, 4),
         *((binomial(n + 1, j) * a**j * b ** (n + 1 - j), n + 1,
            _kernel_pair(j, yn, yd), _kernel_pair(n + 1 - j, xn, xd)) for j in range(n + 2)),
@@ -536,16 +579,16 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     _require_int("cor43", "r", r)
     _require(0 <= r <= p - 1, "cor43", "0 <= r <= p - 1")
     values = _admit("cor43", p, r, a, b, c)
-    n_hat = count_ladder(a, b, c, 0, 0, 0)
+    n_hat = _count_ladder(a, b, c, 0, 0, 0)
     return _report("cor43", values, (
         *((binomial(p + 1, j) * binomial(p - j, p - 1 - r) * (-1) ** (j + 1)
            * a**p * b ** (p + 1 - j) * c**j, 1,
-           s_mn_plain(j, p + 1 - j, b, c, a)) for j in range(1, r + 2)),
+           _plain(j, p + 1 - j, b, c, a)) for j in range(1, r + 2)),
         *((binomial(p + 1, j) * binomial(p - j, r) * (-1) ** (j + 1)
            * a ** (p + 1 - j) * b**p * c**j, 1,
-           s_mn_plain(j, p + 1 - j, a, c, b)) for j in range(1, p - r + 1)),
+           _plain(j, p + 1 - j, a, c, b)) for j in range(1, p - r + 1)),
         (binomial(p + 1, r + 1) * a ** (r + 1) * b ** (p - r) * c**p, 1,
-         s_mn_plain(p - r, r + 1, a, b, c)),
+         _plain(p - r, r + 1, a, b, c)),
     ), (
         (binomial(p, r) * a ** (p + 1) * gcd_pos(b, c) ** (p + 1)
          + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
@@ -571,17 +614,17 @@ def check_thm44(m: int, n: int, a: int, b: int, c: int,
 def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
     """Derivative-level unshifted three-term law for positive moduli."""
     values = _admit("cor45", m, n, a, b, c)
-    n_hat = count_ladder(a, b, c, 0, 0, 0)
+    n_hat = _count_ladder(a, b, c, 0, 0, 0)
     weight = _kd(1, m) * _kd(1, n - 1) * n * b - _kd(1, m - 1) * _kd(1, n) * m * a
-    # Each half: S(j, k) = s_mn_plain(j, k, a, c, b), weighted by c^(j-m) = c^(n-1-k).
+    # Each half: S(j, k) = _plain(j, k, a, c, b), weighted by c^(j-m) = c^(n-1-k).
     return _report("cor45", values, (
         _binomial_side((-1) ** m * c ** (m + 1), m, n, a, b, True,
                        _form(a, b, 0), _form(c, b, 0), abs(b), c, n - 1),
         _binomial_side(-(-1) ** n * c ** (n + 1), n, m, b, a, True,
                        _form(b, a, 0), _form(c, a, 0), abs(a), c, m - 1),
     ), (
-        (n * b * c ** (m + n - 1), 1, s_mn_plain(m, n - 1, a, -b, c)),
-        (-m * a * c ** (m + n - 1), 1, s_mn_plain(n, m - 1, b, -a, c)),
+        (n * b * c ** (m + n - 1), 1, _plain(m, n - 1, a, -b, c)),
+        (-m * a * c ** (m + n - 1), 1, _plain(n, m - 1, b, -a, c)),
         (-weight * c * c * n_hat, 4),
     ), counter=n_hat)
 

@@ -4,17 +4,21 @@ Each family is one lattice sum under its own parameters: the sum over
 ``r = 1 .. N`` of ``K_m((p1 r + q1)/d1) K_n((p2 r + q2)/d2)``, where ``K``
 is the periodized Bernoulli kernel (the raw kernel ``B_n({.})`` for
 ``carlitz_s``) and the two linear forms carry the family's tops, modulus
-and shifts with signed division.  The public functions only build these
-integers, hand them to :func:`_lattice_sum` and make one Fraction of the
-integer pair it returns.  Both kernels have period 1, so it first replaces
-each slope ``p`` by its signed residue mod ``d`` (``|p| <= d/2``), which
-changes no term, and then takes one of two routes to the same exact value.
+and shifts with signed division.  A family's pair helper (``_classical``
+for :func:`classical_s`, and so on; :func:`hwz_s` and :func:`s_mn_two`
+build theirs inline) builds these integers and returns the integer pair
+of :func:`_lattice_sum`; the public function gates its arguments and
+makes one Fraction of that pair.  Both kernels
+have period 1, so the core first replaces each slope ``p`` by its signed
+residue mod ``d`` (``|p| <= d/2``), which changes no term, and then takes
+one of two routes to the same exact value.
 Both work in integers: each factor's kernel value scaled by ``L_n d^n``
 (``L_n`` the lcm of the denominators of ``B_0..B_n``) is an integer, so a
 sum is one integer numerator over the predictable denominator
 ``L_m d1^m L_n d2^n``, and the core returns that pair, unreduced.  The
-binomial sides of :mod:`dedsums.reciprocity` build their two forms once
-and read the pairs of every order pair straight from the core.
+checkers of :mod:`dedsums.reciprocity` fold the helpers' pairs, and their
+binomial sides build their two forms once and read the pairs of every
+order pair straight from the core.
 
 * **direct** -- the literal loop, one product of two integer kernel values
   ``L_n d^n K_n(t/d)`` (``t = num mod d``) per term.  The kernel values
@@ -281,30 +285,64 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
 # ---------------------------------------------------------------------------
 # The families
 # ---------------------------------------------------------------------------
+# A family whose sum a checker of dedsums.reciprocity reads writes its forms
+# once, in its pair helper: the integer pair of its lattice sum, with the
+# types gated by _form.  The public function adds the order and modulus
+# gates and makes the pair one Fraction; the checkers, whose arguments are
+# admitted already, fold the helpers' pairs as they are.  hwz_s and
+# s_mn_two, which no checker reads so, build their forms themselves.
+
+def _classical(a: int, b: int) -> tuple[int, int]:
+    return _lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b))
+
+
+def _rademacher(a: int, b: int, x: Fraction, y: Fraction) -> tuple[int, int]:
+    return _lattice_sum(1, _form(1, b, y), 1, _form(a, b, y, x), abs(b))
+
+
+def _berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> tuple[int, int]:
+    return _lattice_sum(1, _form(a, c, z, x, -1), 1, _form(b, c, z, y, -1), abs(c))
+
+
+def _apostol(n: int, a: int, b: int) -> tuple[int, int]:
+    return _lattice_sum(1, _form(1, b, 0), n, _form(a, b, 0), abs(b))
+
+
+def _carlitz(n: int, a: int, b: int, x: Fraction, y: Fraction) -> tuple[int, int]:
+    return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b), raw=True)
+
+
+def _two_n(n: int, a: int, b: int, x: Fraction, y: Fraction) -> tuple[int, int]:
+    return _lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b))
+
+
+def _plain(m: int, n: int, a: int, b: int, c: int) -> tuple[int, int]:
+    return _lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c))
+
 
 def classical_s(a: int, b: int) -> Fraction:
     """Classical Dedekind sum: sum of ((r/b)) ((ar/b)) over r = 1..|b|."""
     _require_nonzero(b, "b")
-    return Fraction(*_lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b)))
+    return Fraction(*_classical(a, b))
 
 
 def rademacher_s(a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Shifted two-term sum: sum of (((r+y)/b)) ((a(r+y)/b + x))."""
     _require_nonzero(b, "b")
-    return Fraction(*_lattice_sum(1, _form(1, b, y), 1, _form(a, b, y, x), abs(b)))
+    return Fraction(*_rademacher(a, b, x, y))
 
 
 def berndt_s(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Three-argument sawtooth sum: sum of ((a(r+z)/c - x)) ((b(r+z)/c - y))."""
     _require_nonzero(c, "c")
-    return Fraction(*_lattice_sum(1, _form(a, c, z, x, -1), 1, _form(b, c, z, y, -1), abs(c)))
+    return Fraction(*_berndt(a, b, c, x, y, z))
 
 
 def apostol_s(n: int, a: int, b: int) -> Fraction:
     """Higher-order sum with one sawtooth factor and one degree-n factor."""
     _require_order(n, "n", 1)
     _require_nonzero(b, "b")
-    return Fraction(*_lattice_sum(1, _form(1, b, 0), n, _form(a, b, 0), abs(b)))
+    return Fraction(*_apostol(n, a, b))
 
 
 def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
@@ -315,7 +353,7 @@ def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    return Fraction(*_lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b), raw=True))
+    return Fraction(*_carlitz(n, a, b, x, y))
 
 
 def hwz_s(m: int, n: int, a: int, b: int, c: int,
@@ -345,7 +383,7 @@ def s_n_two(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Single-order projection: sum of B'_1((r+y)/b) B'_n(a(r+y)/b + x)."""
     _require_order(n, "n")
     _require_nonzero(b, "b")
-    return Fraction(*_lattice_sum(1, _form(1, b, y), n, _form(a, b, y, x), abs(b)))
+    return Fraction(*_two_n(n, a, b, x, y))
 
 
 def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
@@ -353,7 +391,7 @@ def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
     _require_order(m, "m")
     _require_order(n, "n")
     _require_nonzero(c, "c")
-    return Fraction(*_lattice_sum(m, _form(a, c, 0), n, _form(b, c, 0), abs(c)))
+    return Fraction(*_plain(m, n, a, b, c))
 
 
 def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> int:

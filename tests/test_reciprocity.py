@@ -22,6 +22,8 @@ from dedsums import sums as sums_mod
 from dedsums.reciprocity import (
     IDENTITIES,
     HypothesisError,
+    IdentityCase,
+    IdentityReport,
     check_apostol,
     check_berndt,
     check_carlitz,
@@ -75,6 +77,22 @@ class TestRademacherThreeTerm:
         weak = check_rademacher_three(3, 4, 5, dieter=True)
         assert strong.passed and weak.passed
         assert strong.lhs == weak.lhs and strong.rhs == weak.rhs
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+    def test_dieter_flag_must_be_a_bool(self, flag):
+        # A direct call admits the flag as run_case coerces it, with its message.
+        with pytest.raises(ValueError) as direct:
+            check_rademacher_three(2, 3, 5, dieter=flag)
+        with pytest.raises(ValueError) as dispatched:
+            run_case("rademacher3", {"a": 2, "b": 3, "c": 5, "dieter": flag})
+        assert type(direct.value) is ValueError
+        assert str(direct.value) == str(dispatched.value) == \
+            f"rademacher3: flag 'dieter' must be a bool, got {flag!r}"
+
+    def test_dieter_flag_is_listed_only_when_set(self):
+        assert check_rademacher_three(2, 3, 5, dieter=True).case.params[-1] == ("dieter", True)
+        assert [n for n, _ in check_rademacher_three(2, 3, 5, dieter=False).case.params] == \
+            ["a", "b", "c"]
 
     def test_coprimality_gate(self):
         with pytest.raises(HypothesisError) as exc:
@@ -389,6 +407,25 @@ class TestDispatchAndReports:
         data2 = json.loads(rep2.to_json())
         assert "counter" not in data2
         assert data2["lhs"] == "-1/18"
+
+    def test_json_row_has_the_bytes_of_json_dumps(self):
+        # to_json writes its row directly; it must equal the dict, dumped.
+        reports = [run_case(identity, random_case(identity, random.Random(seed)))
+                   for identity in IDENTITIES for seed in range(50)]
+        reports += [
+            check_rademacher_three(2, 3, 5, dieter=True),
+            check_berndt(2, 3, 5, F(1, 2), F(-1, 3), F(-9, 7)),
+            check_thm41(2, 1, -3, 4, -5, F(-1, 2), F(7, 3), F(-2, 9)),
+            check_cor32(3, 2, -7, -2, F(-5, 6), F(-4)),
+            IdentityReport(IdentityCase("thm31", (("m", 1), ("a", -2), ("x", F(-1, 3)))),
+                           lhs=F(1, 2), rhs=F(-3), residual=F(7, 2), passed=False),
+            IdentityReport(IdentityCase("berndt", (("a", 1), ("z", F(5)))),
+                           lhs=F(-1, 6), rhs=F(0), residual=F(-1, 6), passed=False, counter=0),
+        ]
+        assert any(r.counter is not None for r in reports)
+        assert any(r.case.params[-1] == ("dieter", True) for r in reports)
+        for rep in reports:
+            assert rep.to_json() == json.dumps(rep.to_json_dict()), rep
 
     def test_random_cases_respect_hypotheses(self):
         rng = random.Random(12345)

@@ -291,6 +291,27 @@ def test_failed_child_has_its_share_summed_here(forks, monkeypatch, crash):
     assert rep == _unsplit(lemma27_check, 2, 3, 1, F(1, 5), 5_000)
 
 
+def test_successful_child_leaves_the_caller_its_own_share(forks, monkeypatch):
+    # A child that finishes sends back its share, so the caller computes
+    # only the first _OWN_SHARE of each run: were the child's floats thrown
+    # away, the caller would compute every term again, with the same bits.
+    if not analytic._may_fork():
+        pytest.skip("this process may not fork")
+    computed = []
+    real = analytic._terms
+
+    def counting(runs, shift, power):
+        computed.append(sum(len(span) for _, span in runs))  # in this process only
+        return real(runs, shift, power)
+
+    monkeypatch.setattr(analytic, "_terms", counting)
+    with _leaves_nothing():
+        value = analytic._series([1.0, -2.0, 0.5], 0.5, 2, 1, 30_000)
+    assert len(forks) == 1
+    assert computed == [3 * math.ceil(10_000 * analytic._OWN_SHARE)]
+    assert _bits(value) == _bits(_one_fsum([1.0, -2.0, 0.5], 0.5, 2, 1, 30_000, None))
+
+
 def test_fork_failure_sums_the_share_here(forks, monkeypatch):
     def fork():
         raise OSError("no process to spare")

@@ -413,6 +413,14 @@ class TestSumRequest:
             with pytest.raises(ValueError):
                 req.to_json_dict()
 
+    def test_arity_message_names_the_declared_shape(self):
+        with pytest.raises(ValueError) as exc:
+            SumRequest("hwz", orders=(1, 1), moduli=(1, 2), shifts=(ZERO,) * 3).validate()
+        assert str(exc.value) == "hwz takes 2 order(s), 3 moduli and 3 shift(s)"
+        with pytest.raises(ValueError) as exc:
+            SumRequest("classical", orders=(1,), moduli=(2, 3)).validate()
+        assert str(exc.value) == "classical takes 0 order(s), 2 moduli and 0 shift(s)"
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SumRequest("nope", moduli=(1, 2)).validate()
@@ -543,6 +551,43 @@ class TestRoutes:
         _clear_all()
         assert entries < 1000
         assert elapsed < 1.0
+
+
+# (m, n, f1, f2, count, piecewise): the route _lattice_sum takes.  The rule
+# is count >= _PIECEWISE_MIN_TERMS and count >= (4 + m + n) * stretches,
+# with stretches = 1 + the floor steps of each factor of nonzero order;
+# rows sit on both sides of each bound.  f2 = (0, 1, 3) is constant in r.
+_ROUTE_TABLE = [
+    (1, 0, (1, 0, 70), (1, 0, 2), 63, False),   # 1 stretch, below 64 terms
+    (1, 0, (1, 0, 70), (1, 0, 2), 64, True),    # 1 stretch, 64 terms
+    (1, 1, (1, 5, 6), (0, 1, 3), 66, True),     # floors 1..11: 11 stretches, 6 * 11 = 66
+    (1, 1, (1, 0, 6), (0, 1, 3), 66, False),    # floors 0..11: 12 stretches, 72 > 66
+    (1, 1, (1, 5, 6), (0, 1, 3), 65, False),    # floors 1..11 again: 65 < 66
+    (2, 3, (1, 0, 20), (1, 0, 18), 90, True),   # 1 + 4 + 5 = 10 stretches, 9 * 10 = 90
+    (2, 3, (1, 0, 20), (1, 0, 15), 90, False),  # 1 + 4 + 6 = 11 stretches, 99 > 90
+    (0, 3, (1, 0, 2), (1, 0, 18), 64, True),    # order 0 never breaks: 1 + 3, 7 * 4 = 28
+]
+
+
+@pytest.mark.parametrize("m,n,f1,f2,count,piecewise", _ROUTE_TABLE)
+def test_dispatch_rule_picks_the_route(monkeypatch, m, n, f1, f2, count, piecewise):
+    """Which route a lattice sum takes, on both sides of each bound of the rule.
+
+    Both routes give the same value, so only a spy on ``_piecewise_sum``
+    sees the route: a rule that counted one stretch more, or asked for one
+    more term per stretch, would send the boundary rows down the direct loop.
+    """
+    taken = []
+    real = sums_mod._piecewise_sum
+
+    def spy(*args):
+        taken.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sums_mod, "_piecewise_sum", spy)
+    pair = sums_mod._lattice_sum.__wrapped__(m, f1, n, f2, count)  # past the memo
+    assert bool(taken) is piecewise
+    assert F(*pair) == _literal_lattice_sum(m, f1, n, f2, count, False)
 
 
 _big_tops = st.integers(-9000, 9000)
