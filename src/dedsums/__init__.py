@@ -12,6 +12,8 @@ Every sum family reads one bounded memo of lattice sums, keyed by integers;
 and the one kernel memo), and ``cache_stats()`` reports each one's use.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     TruncationReport,
     fourier_partial,
@@ -81,5 +83,9 @@ from .sums import (
     s_mn_two,
     s_n_two,
 )
+
+# The public names are those imported above; the submodules are not.
+__all__ = [name for name, value in list(globals().items())
+           if name[0] != "_" and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -44,8 +44,10 @@ as a real series.  The caller keeps O(min(q, K))
 memory; the child holds one chunk of terms and a few parts.  No child
 process or pipe outlives a check, even one that raises.
 
+Each check and exact lemma admits its arguments by its entry in
+``ANALYTIC_TARGETS`` or ``EXACT_LEMMAS``, where a rational may be a literal.
 Lemmas 2.4 and 2.7 share one core, :func:`_bilateral` (Lemma 2.4 is its
-x = 0 case), for their gates, reference and tolerance.  One constructor,
+x = 0 case), for their pole gate, reference and tolerance.  One constructor,
 :func:`_report`, sets every verdict, and a check's tolerance is final
 there.  An order whose float powers leave the double range raises
 ``ValueError``.
@@ -67,7 +69,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .bernoulli import bernoulli_function, bernoulli_number
 from .exact import binomial, format_rational, frac, sgn
-from .params import Params, coerce, declare
+from .params import Gate, Signature, admit, coerce, declare
 
 __all__ = [
     "TruncationReport",
@@ -79,6 +81,7 @@ __all__ = [
     "lemma22_exact",
     "lemma28_exact",
     "ANALYTIC_TARGETS",
+    "EXACT_LEMMAS",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -142,11 +145,11 @@ def _report(target: str, params: tuple, K: int, approx: Union[float, complex],
                             abs_error <= tolerance)
 
 
-def _admit(tag: str, *args) -> tuple:
-    # The arguments of one check, admitted by the strict coercer under its
-    # declaration: no float, bool or junk string.
-    params = ANALYTIC_TARGETS[tag].params if tag in ANALYTIC_TARGETS else _EXACT_PARAMS[tag]
-    return tuple(coerce(tag, params, dict(zip(params, args))).values())
+def _admit(spec: "AnalyticSpec", *args) -> tuple:
+    # The arguments of one check or lemma, literals parsed, admitted by its entry.
+    sig = spec.signature
+    values = coerce(sig.owner, sig.params, dict(zip(sig.params, args)))
+    return admit(sig, tuple(values.values()))
 
 
 @contextmanager
@@ -165,11 +168,6 @@ def _cis(num: int, den: int) -> complex:
     if den < 0:
         num, den = -num, -den
     return cmath.exp(complex(0.0, _TWO_PI * ((num % den) / den)))
-
-
-def _gate_level(K: int) -> None:
-    if K < 1:
-        raise ValueError("truncation level K must be >= 1")
 
 
 def _window_weights(weight: Callable[[int], complex], q: int, lo: int,
@@ -436,11 +434,8 @@ def _pole(alpha: Fraction) -> Optional[int]:
 
 
 def _fourier(n: int, x: Fraction, K: int) -> tuple[list, complex]:
-    # The gates, the weights and the coefficient -n!/(2 pi i)^n of the
-    # Fourier partial sum, on admitted arguments.
-    if n < 2:
-        raise ValueError("absolute convergence requires degree n >= 2")
-    _gate_level(K)
+    # The weights and the coefficient -n!/(2 pi i)^n of the Fourier partial
+    # sum, on admitted arguments.
     p, q = x.numerator, x.denominator
     sign = (-1) ** n
     weights = _window_weights(lambda k: _cis(k * p, q) + sign * _cis(-k * p, q), q, 1, K)
@@ -487,7 +482,7 @@ def fourier_partial_complex(n: int, x: Fraction, K: int) -> complex:
     imaginary part vanishes up to rounding for the (real) target.  Arguments
     are admitted as for :func:`fourier_partial`.
     """
-    n, x, K = _admit("fourier", n, x, K)
+    n, x, K = _admit(ANALYTIC_TARGETS["fourier"], n, x, K)
     with _in_double_range("n", n):
         return _fourier_series(n, x, K)
 
@@ -502,7 +497,7 @@ def fourier_partial(n: int, x: Fraction, K: int) -> TruncationReport:
     Tolerance: |tail| <= 2*n!/(2*pi)^n * sum_{k>K} k^-n
                        <= 2*n!/((2*pi)^n (n-1)) * K^(1-n).
     """
-    n, x, K = _admit("fourier", n, x, K)
+    n, x, K = _admit(ANALYTIC_TARGETS["fourier"], n, x, K)
     with _in_double_range("n", n):
         approx = _fourier_real(n, x, K)
         reference = float(bernoulli_function(n, x))
@@ -526,8 +521,8 @@ def _bilateral(j: int, b: int, r: int, x: Fraction, K: int,
     """Lemmas 2.4 (x = 0) and 2.7: approximation, reference and tolerance.
 
     The series is the sum over |d| <= K, d != pole, of e(dx) / (d + alpha)^j
-    with alpha = r/b, which ``series(shift, pole)`` evaluates after the gates
-    and before the exact reference, so that an order past the double range
+    with alpha = r/b, which ``series(shift, pole)`` evaluates after the pole
+    gate and before the exact reference, so that an order past the double range
     raises before any exact work.  The tolerance bounds its tail beyond
     |d| = K (K past the pole), plus 1e-12:
     - j = 1, fractional x: Abel summation bounds each one-sided tail by
@@ -536,12 +531,7 @@ def _bilateral(j: int, b: int, r: int, x: Fraction, K: int,
       bounded by 4(|alpha|+1)/K (the integer-alpha shifted-harmonic case too);
     - j >= 2: the two-sided integral bound 2*(K-|alpha|)^(1-j)/(j-1).
     """
-    if j < 1:
-        raise ValueError("power j must be >= 1")
-    if b == 0:
-        raise ValueError("modulus b must be nonzero")
     alpha = Fraction(r, b)
-    _gate_level(K)
     # The tail bounds assume the window clears the pole with room to spare.
     need = 2 * (math.ceil(abs(alpha)) + 1)
     if K < need:
@@ -558,7 +548,7 @@ def _bilateral(j: int, b: int, r: int, x: Fraction, K: int,
 
 def lemma24_check(j: int, b: int, r: int, K: int) -> TruncationReport:
     """Check the unweighted bilateral power sum against its closed form."""
-    j, b, r, K = _admit("lemma24", j, b, r, K)
+    j, b, r, K = _admit(ANALYTIC_TARGETS["lemma24"], j, b, r, K)
     with _in_double_range("j", j):
         approx, reference, tolerance = _bilateral(
             j, b, r, Fraction(0), K, lambda shift, pole: _series([1.0], shift, j, -K, K, pole))
@@ -571,7 +561,7 @@ def lemma27_check(j: int, b: int, r: int, x: Fraction, K: int) -> TruncationRepo
 
     For integer x this coincides with the unweighted check.
     """
-    j, b, r, x, K = _admit("lemma27", j, b, r, x, K)
+    j, b, r, x, K = _admit(ANALYTIC_TARGETS["lemma27"], j, b, r, x, K)
     p, q = x.numerator, x.denominator
 
     def series(shift: float, pole: Optional[int]) -> complex:
@@ -589,10 +579,7 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
 
     Tolerance is the integral tail bound K^(1-2j)/(2j-1).
     """
-    j, K = _admit("zeta-even", j, K)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    _gate_level(K)
+    j, K = _admit(ANALYTIC_TARGETS["zeta-even"], j, K)
     with _in_double_range("j", j):
         # The float steps first: an order past the double range raises before
         # the exact Bernoulli number is grown.
@@ -606,27 +593,34 @@ def zeta_even_check(j: int, K: int) -> TruncationReport:
 
 
 class AnalyticSpec(NamedTuple):
-    """Declared parameters of one truncation check, in its argument order."""
+    """Declared parameters and gates of one check or exact lemma, in its argument order."""
 
-    fn: Callable[..., TruncationReport]
-    params: Params
+    fn: Callable
+    signature: Signature
     flags = ()
+
+    @property
+    def params(self):
+        return self.signature.params
+
+
+_LEVEL = {"K": (Gate("least", 1, "truncation level K must be >= 1"),)}
+_POWER = {"j": (Gate("least", 1, "power j must be >= 1"),),
+          "b": (Gate("nonzero", 0, "modulus b must be nonzero"),)}
 
 
 # Command-line tag -> check; the report of "zeta-even" names its target "zeta_even".
 ANALYTIC_TARGETS = {
-    "fourier": AnalyticSpec(fourier_partial, {"n": int, "x": Fraction, "K": int}),
-    "lemma24": AnalyticSpec(lemma24_check, {"j": int, "b": int, "r": int, "K": int}),
-    "lemma27": AnalyticSpec(lemma27_check,
-                            {"j": int, "b": int, "r": int, "x": Fraction, "K": int}),
-    "zeta-even": AnalyticSpec(zeta_even_check, {"j": int, "K": int}),
+    "fourier": AnalyticSpec(fourier_partial, Signature(
+        "fourier", {"n": int, "x": Fraction, "K": int},
+        {"n": (Gate("least", 2, "absolute convergence requires degree n >= 2"),), **_LEVEL})),
+    "lemma24": AnalyticSpec(lemma24_check, Signature(
+        "lemma24", declare(("j", "b", "r", "K")), {**_POWER, **_LEVEL})),
+    "lemma27": AnalyticSpec(lemma27_check, Signature(
+        "lemma27", {"j": int, "b": int, "r": int, "x": Fraction, "K": int}, {**_POWER, **_LEVEL})),
+    "zeta-even": AnalyticSpec(zeta_even_check, Signature(
+        "zeta-even", declare(("j", "K")), {"j": _POWER["j"], **_LEVEL})),
 }
-
-
-# The exact lemmas are not truncation checks, so the command line does not
-# list them, but they admit their arguments by the same rules.
-_EXACT_PARAMS = {"lemma22": declare(ints=("m", "n"), rationals=("d", "x", "y")),
-                 "lemma28": declare(ints=("m", "n"))}
 
 
 def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,
@@ -635,9 +629,7 @@ def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,
 
     Returns ``(lhs, rhs)``; the two are equal for all admissible inputs.
     """
-    m, n, d, x, y = _admit("lemma22", m, n, d, x, y)
-    if m < 1 or n < 1:
-        raise ValueError("orders m, n must be >= 1")
+    m, n, d, x, y = _admit(EXACT_LEMMAS["lemma22"], m, n, d, x, y)
     if d == x or d == y or x == y:
         raise ValueError("requires d != x, d != y, x != y")
     lhs = 1 / ((d - x) ** m * (d - y) ** n)
@@ -653,9 +645,17 @@ def lemma22_exact(m: int, n: int, d: Fraction, x: Fraction,
 
 def lemma28_exact(m: int, n: int) -> tuple[int, int]:
     """Diagonal binomial sum versus its closed form, both sides exactly."""
-    m, n = _admit("lemma28", m, n)
-    if m < 1 or n < 1:
-        raise ValueError("m, n must be >= 1")
+    m, n = _admit(EXACT_LEMMAS["lemma28"], m, n)
     lhs = sum(binomial(m + n - j - 1, n - 1) for j in range(1, m + 1))
     rhs = binomial(m + n - 1, n)
     return lhs, rhs
+
+
+# The exact lemmas are not truncation checks, so the command line does not
+# list them, but they declare and admit their arguments as the checks do.
+_ORDERS = {name: (Gate("least", 1, f"order {name} must be >= 1"),) for name in ("m", "n")}
+EXACT_LEMMAS = {
+    "lemma22": AnalyticSpec(lemma22_exact, Signature(
+        "lemma22", declare(("m", "n"), ("d", "x", "y")), _ORDERS)),
+    "lemma28": AnalyticSpec(lemma28_exact, Signature("lemma28", declare(("m", "n")), _ORDERS)),
+}

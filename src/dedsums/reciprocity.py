@@ -20,10 +20,10 @@ for ``classical_s``, and so on), and the lattice counters of ``berndt``,
 ``cor43`` and ``cor45`` come from the counter's memo, on admitted
 arguments.  Only ``thm41`` and ``thm44`` call public families: ``hwz_s``
 for their left-hand sums and ``count_ladder``.  A checker never "fixes"
-its inputs: parameters that violate the identity's hypotheses raise
-:class:`HypothesisError` naming the violated clause, and an order or
-modulus that is not an ``int``, or a shift that is neither an ``int`` nor
-a ``Fraction``, raises ``ValueError``.
+its inputs: it admits them by its signature in :data:`IDENTITIES`.  An
+order or modulus that is not an ``int``, or a shift that is neither an
+``int`` nor a ``Fraction``, raises ``ValueError``; a violated hypothesis
+raises :class:`HypothesisError` naming the clause.
 
 The identity tags understood by :func:`run_case`:
 
@@ -57,7 +57,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bernoulli import _kernel_pair, bernoulli_number
 from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
-from .params import Params, coerce, declare, lookup
+from .params import Gate, HypothesisError, Params, Signature, admit, coerce, declare, lookup
 # The checkers read the pair helpers and the core; of the public families
 # only hwz_s and count_ladder are called here (by thm41 and thm44).  Every
 # family stays importable from this module, where the benchmark's tracer
@@ -113,19 +113,6 @@ __all__ = [
     "clear_caches",
     "cache_stats",
 ]
-
-
-class HypothesisError(ValueError):
-    """A parameter tuple violates an identity's hypotheses.
-
-    ``clause`` names the violated hypothesis; this is a validation outcome,
-    distinct from a nonzero residual.
-    """
-
-    def __init__(self, identity: str, clause: str):
-        super().__init__(f"{identity}: hypothesis violated: {clause}")
-        self.identity = identity
-        self.clause = clause
 
 
 @dataclass(frozen=True)
@@ -198,35 +185,7 @@ def _json_value(v) -> str:
 
 
 def _admit(identity: str, *values) -> tuple:
-    # A checker's arguments, in declared order, admitted by its registry entry:
-    # each order and modulus in turn an int (else ValueError) that passes its
-    # gate, then the coprime pairs, then each shift a Fraction, or an int as
-    # the Fraction it equals, as run_case coerces it (else ValueError); a
-    # flag must be a bool, as run_case has it (else ValueError), and is kept,
-    # as True, only when it is set.
-    spec = IDENTITIES[identity]
-    for v, (name, low, clause) in zip(values, spec.gates):
-        if type(v) is not int:
-            raise ValueError(f"{identity}: parameter {name!r} must be an int, got {v!r}")
-        if v == 0 if low is None else v < low:
-            raise HypothesisError(identity, clause)
-    for i, k, clause in spec.coprime_pairs:
-        if math.gcd(values[i], values[k]) != 1:
-            raise HypothesisError(identity, clause)
-    for i, name in enumerate(spec.shifts, len(spec.gates)):
-        v = values[i]
-        if type(v) is not Fraction:
-            if type(v) is not int:
-                raise ValueError(f"{identity}: parameter {name!r} must be an int or a "
-                                 f"Fraction, got {v!r}")
-            values = (*values[:i], Fraction(v), *values[i + 1:])
-    n = len(spec.params)
-    if len(values) > n:  # the flags
-        for name, flag in zip(spec.flags, values[n:]):
-            if type(flag) is not bool:
-                raise ValueError(f"{identity}: flag {name!r} must be a bool, got {flag!r}")
-        values = (*values[:n], *(True for flag in values[n:] if flag))
-    return values
+    return admit(IDENTITIES[identity].signature, values)
 
 
 def _report(identity: str, values: tuple, lhs_terms, rhs_terms,
@@ -283,22 +242,6 @@ def _dz(num: int, den: int) -> int:
 
 def _kd(i: int, j: int) -> int:
     return 1 if i == j else 0
-
-
-def _require(cond: bool, identity: str, clause: str) -> None:
-    if not cond:
-        raise HypothesisError(identity, clause)
-
-
-def _require_int(identity: str, name: str, value: int) -> None:
-    # An order is an int; a bool, a float or a string is not.
-    if type(value) is not int:
-        raise ValueError(f"{identity}: parameter {name!r} must be an int, got {value!r}")
-
-
-def _require_order(identity: str, name: str, value: int, minimum: int) -> None:
-    _require_int(identity, name, value)
-    _require(value >= minimum, identity, f"{name} >= {minimum}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +325,6 @@ def check_berndt(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
 
 def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     """Odd-order two-term law: a b^n s_n(a,b) + b a^n s_n(b,a) in closed form."""
-    _require_order("apostol", "n", n, 1)
-    _require(n % 2 == 1, "apostol", "n odd")
     return _report("apostol", _admit("apostol", n, a, b),
                    ((a * b**n, 1, _apostol(n, a, b)), (b * a**n, 1, _apostol(n, b, a))), (
         *((binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j), n + 1,
@@ -574,10 +515,6 @@ def check_cor42(n: int, a: int, b: int, x: Fraction, y: Fraction) -> IdentityRep
 
 def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     """Odd-order unshifted three-term law with free row index r."""
-    _require_order("cor43", "p", p, 1)
-    _require(p % 2 == 1, "cor43", "p odd")
-    _require_int("cor43", "r", r)
-    _require(0 <= r <= p - 1, "cor43", "0 <= r <= p - 1")
     values = _admit("cor43", p, r, a, b, c)
     n_hat = _count_ladder(a, b, c, 0, 0, 0)
     return _report("cor43", values, (
@@ -635,16 +572,14 @@ def check_cor45(m: int, n: int, a: int, b: int, c: int) -> IdentityReport:
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Declared parameters of one identity; they drive the CLI, sweeps and sampling.
+    """Declared parameters of one identity; they drive the CLI, sweeps, sampling and admission.
 
-    The parameters are the orders, then the moduli (integers), then the
-    shifts (rationals).  The rest is the sampling data of :func:`random_case`
-    and the hypotheses :func:`_admit` gates a call by: each order's choices
-    (a sequence, or a function of the values drawn so far), whether moduli
-    may be negative (else they are >= 1), whether they must be pairwise
-    coprime, and ``minimum``, the least value of every order.  The tighter
-    order clauses of ``apostol`` and ``cor43`` (an odd order, the row range
-    ``0 <= r <= p - 1``) are gated by their checkers, ahead of the rest.
+    The parameters are the orders (each with its sampling choices: a
+    sequence, or a function of the values drawn so far), the moduli and the
+    shifts.  The :attr:`signature` gates each order at ``minimum`` or above,
+    unless ``gates`` declares its own (``apostol``'s odd order, ``cor43``'s
+    row range); each modulus nonzero when ``signed``, else at least 1; and,
+    when ``coprime``, the moduli pairwise coprime after the last one.
     """
 
     name: str
@@ -657,26 +592,25 @@ class IdentitySpec:
     signed: bool = False
     coprime: bool = False
     minimum: int = 1
+    gates: Mapping[str, tuple[Gate, ...]] = field(default_factory=dict)
 
     @cached_property
     def params(self) -> Params:
         return declare((*self.orders, *self.moduli), self.shifts)
 
     @cached_property
-    def gates(self) -> tuple[tuple[str, Optional[int], str], ...]:
-        """(name, least value, clause) of each order and modulus; None is "nonzero"."""
-        rule = (None, "!= 0") if self.signed else (1, ">= 1")
-        return (*((name, self.minimum, f"{name} >= {self.minimum}") for name in self.orders),
-                *((name, rule[0], f"{name} {rule[1]}") for name in self.moduli))
-
-    @cached_property
-    def coprime_pairs(self) -> tuple[tuple[int, int, str], ...]:
-        """(index, index, clause) of each modulus pair that must be coprime, in gate order."""
-        if not self.coprime:
-            return ()
-        first, count = len(self.orders), len(self.moduli)
-        return tuple((first + i, first + k, f"gcd({self.moduli[i]}, {self.moduli[k]}) = 1")
-                     for i, k in ((0, 1), (1, 2), (0, 2)) if k < count)
+    def signature(self) -> Signature:
+        low = self.minimum
+        gates = {name: (Gate("least", low, f"{name} >= {low}"),) for name in self.orders}
+        for name in self.moduli:
+            gates[name] = (Gate("nonzero", 0, f"{name} != 0") if self.signed
+                           else Gate("least", 1, f"{name} >= 1"),)
+        if self.coprime:
+            first, mod = len(self.orders), self.moduli
+            gates[mod[-1]] += tuple(Gate("coprime", (first + i, first + k),
+                                         f"gcd({mod[i]}, {mod[k]}) = 1")
+                                    for i, k in ((0, 1), (1, 2), (0, 2)) if k < len(mod))
+        return Signature(self.name, self.params, {**gates, **self.gates}, self.flags, True)
 
     @cached_property
     def columns(self) -> tuple[str, ...]:
@@ -688,6 +622,7 @@ _AB, _ABC, _XY, _XYZ = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z")
 _MN4 = {"m": range(1, 5), "n": range(1, 5)}
 _MN3 = {"m": range(1, 4), "n": range(1, 4)}
 _N7 = {"n": range(7)}
+_ROW = "0 <= r <= p - 1"
 
 IDENTITIES: dict[str, IdentitySpec] = {
     spec.name: spec for spec in [
@@ -697,7 +632,8 @@ IDENTITIES: dict[str, IdentitySpec] = {
         IdentitySpec("rademacher15", check_rademacher15, {}, _AB, _XY, coprime=True),
         IdentitySpec("eq319", check_rademacher_rad, {}, _AB, _XY),
         IdentitySpec("berndt", check_berndt, {}, _ABC, _XYZ),
-        IdentitySpec("apostol", check_apostol, {"n": (1, 3, 5, 7)}, _AB, coprime=True),
+        IdentitySpec("apostol", check_apostol, {"n": (1, 3, 5, 7)}, _AB, coprime=True,
+                     gates={"n": (Gate("least", 1, "n >= 1"), Gate("odd", 1, "n odd"))}),
         IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True, minimum=0),
         IdentitySpec("thm31", check_thm31, _MN4, _AB, _XYZ, signed=True),
         IdentitySpec("cor32", check_cor32, _MN4, _AB, _XY, signed=True),
@@ -706,7 +642,9 @@ IDENTITIES: dict[str, IdentitySpec] = {
         IdentitySpec("thm41", check_thm41, _MN3, _ABC, _XYZ, signed=True),
         IdentitySpec("cor42", check_cor42, _N7, _AB, _XY, minimum=0),
         IdentitySpec("cor43", check_cor43,
-                     {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC, minimum=0),
+                     {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC,
+                     gates={"p": (Gate("least", 1, "p >= 1"), Gate("odd", 1, "p odd")),
+                            "r": (Gate("least", 0, _ROW), Gate("below", 0, _ROW))}),
         IdentitySpec("thm44", check_thm44, _MN3, _ABC, _XYZ, signed=True),
         IdentitySpec("cor45", check_cor45, _MN3, _ABC),
     ]
@@ -716,8 +654,9 @@ IDENTITIES: dict[str, IdentitySpec] = {
 def run_case(identity: str, params: Mapping[str, object]) -> IdentityReport:
     """Dispatch one identity instance; raises HypothesisError on bad tuples.
 
-    ``params`` must pass :func:`dedsums.params.coerce` (exact values of the
-    declared kinds, every declared name, no other name), else ValueError.
+    ``params`` must hold every declared name and no other, else ValueError
+    (:func:`dedsums.params.coerce`); a rational may be a literal string.  The
+    checker then admits the values as it admits a direct call.
     """
     spec = lookup(IDENTITIES, identity, "identity")
     return spec.fn(**coerce(identity, spec.params, params, spec.flags))

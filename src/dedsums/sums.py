@@ -7,8 +7,8 @@ is the periodized Bernoulli kernel (the raw kernel ``B_n({.})`` for
 and shifts with signed division.  A family's pair helper (``_classical``
 for :func:`classical_s`, and so on; :func:`hwz_s` and :func:`s_mn_two`
 build theirs inline) builds these integers and returns the integer pair
-of :func:`_lattice_sum`; the public function gates its arguments and
-makes one Fraction of that pair.  Both kernels
+of :func:`_lattice_sum`; the public function admits its arguments by its
+entry in :data:`SUM_FAMILIES` and makes one Fraction of that pair.  Both kernels
 have period 1, so the core first replaces each slope ``p`` by its signed
 residue mod ``d`` (``|p| <= d/2``), which changes no term, and then takes
 one of two routes to the same exact value.
@@ -40,8 +40,8 @@ picks the route by a rule measured in (orders, stretches, ``N``); small
 moduli always take the direct route.  Negative moduli are supported
 wherever the defining sum permits them.  One bounded memo on
 :func:`_lattice_sum`, keyed by its integer arguments, holds every value, so
-families that are the same lattice sum share entries; orders, tops and
-moduli must be ints and shifts ints or Fractions, else ``ValueError``.
+families that are the same lattice sum share entries.  Below the public
+names nothing is checked again.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, Mapping
 
 from .bernoulli import _poly_at_pair, _scale, _scaled_poly, _scaled_row
 from .exact import floor_frac, format_rational
-from .params import Params, coerce, declare, lookup
+from .params import Gate, Params, Signature, admit, coerce, declare, lookup
 
 __all__ = [
     "classical_s",
@@ -72,19 +72,6 @@ __all__ = [
 ]
 
 _CACHE_SIZE = 1 << 16
-_EXACT = (int, Fraction)
-
-
-def _require_nonzero(value: int, name: str) -> None:
-    if value == 0:
-        raise ValueError(f"modulus {name} must be nonzero")
-
-
-def _require_order(value: int, name: str, minimum: int = 0) -> None:
-    if type(value) is not int:  # a bool, a float or a string is refused
-        raise ValueError(f"order {name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"order {name} must be >= {minimum}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +80,7 @@ def _require_order(value: int, name: str, minimum: int = 0) -> None:
 
 def _form(top: int, mod: int, shift: Fraction | int, offset: Fraction | int = 0,
           sign: int = 1) -> tuple[int, int, int]:
-    """Integers (p, q, d), d > 0, with (p r + q)/d = top (r + shift)/mod + sign offset.
-
-    Every top and modulus of a family passes here: they must be ints (not
-    bools), and the shift and offset ints or Fractions.
-    """
-    if type(top) is not int or type(mod) is not int:
-        raise ValueError(f"tops and moduli must be ints, got {top!r} and {mod!r}")
-    if type(shift) not in _EXACT or type(offset) not in _EXACT:
-        raise ValueError(f"shifts must be ints or Fractions, got {shift!r} and {offset!r}")
+    """Integers (p, q, d), d > 0, with (p r + q)/d = top (r + shift)/mod + sign offset."""
     sn, sd = shift.as_integer_ratio()
     on, od = offset.as_integer_ratio()
     p, q, d = top * sd * od, top * sn * od + sign * on * sd * mod, sd * mod * od
@@ -286,11 +265,9 @@ def _piecewise_sum(m: int, f1: tuple[int, int, int], n: int, f2: tuple[int, int,
 # The families
 # ---------------------------------------------------------------------------
 # A family whose sum a checker of dedsums.reciprocity reads writes its forms
-# once, in its pair helper: the integer pair of its lattice sum, with the
-# types gated by _form.  The public function adds the order and modulus
-# gates and makes the pair one Fraction; the checkers, whose arguments are
-# admitted already, fold the helpers' pairs as they are.  hwz_s and
-# s_mn_two, which no checker reads so, build their forms themselves.
+# once, in its pair helper: the integer pair of its lattice sum.  The public
+# function admits its arguments and makes the pair one Fraction; the checkers
+# fold the helpers' pairs.  hwz_s and s_mn_two build their forms themselves.
 
 def _classical(a: int, b: int) -> tuple[int, int]:
     return _lattice_sum(1, _form(1, b, 0), 1, _form(a, b, 0), abs(b))
@@ -322,26 +299,25 @@ def _plain(m: int, n: int, a: int, b: int, c: int) -> tuple[int, int]:
 
 def classical_s(a: int, b: int) -> Fraction:
     """Classical Dedekind sum: sum of ((r/b)) ((ar/b)) over r = 1..|b|."""
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["classical"].signature, (a, b))
     return Fraction(*_classical(a, b))
 
 
 def rademacher_s(a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Shifted two-term sum: sum of (((r+y)/b)) ((a(r+y)/b + x))."""
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["rademacher"].signature, (a, b, x, y))
     return Fraction(*_rademacher(a, b, x, y))
 
 
 def berndt_s(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Three-argument sawtooth sum: sum of ((a(r+z)/c - x)) ((b(r+z)/c - y))."""
-    _require_nonzero(c, "c")
+    admit(SUM_FAMILIES["berndt3"].signature, (a, b, c, x, y, z))
     return Fraction(*_berndt(a, b, c, x, y, z))
 
 
 def apostol_s(n: int, a: int, b: int) -> Fraction:
     """Higher-order sum with one sawtooth factor and one degree-n factor."""
-    _require_order(n, "n", 1)
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["apostol"].signature, (n, a, b))
     return Fraction(*_apostol(n, a, b))
 
 
@@ -351,8 +327,7 @@ def carlitz_s(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     Unlike the periodized kernel, the degree-1 factor here is -1/2 (not 0)
     whenever its argument is an integer.
     """
-    _require_order(n, "n")
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["carlitz"].signature, (n, a, b, x, y))
     return Fraction(*_carlitz(n, a, b, x, y))
 
 
@@ -365,32 +340,25 @@ def hwz_s(m: int, n: int, a: int, b: int, c: int,
     makes its factor constant in r), while ``c`` carries the summation
     range and must be nonzero.
     """
-    _require_order(m, "m")
-    _require_order(n, "n")
-    _require_nonzero(c, "c")
+    admit(SUM_FAMILIES["hwz"].signature, (m, n, a, b, c, x, y, z))
     return Fraction(*_lattice_sum(m, _form(a, c, z, x, -1), n, _form(b, c, z, y, -1), abs(c)))
 
 
 def s_mn_two(m: int, n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Two-modulus projection: sum of B'_m(a(r+y)/b + x) B'_n((r+y)/b)."""
-    _require_order(m, "m")
-    _require_order(n, "n")
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["two_term_mn"].signature, (m, n, a, b, x, y))
     return Fraction(*_lattice_sum(m, _form(a, b, y, x), n, _form(1, b, y), abs(b)))
 
 
 def s_n_two(n: int, a: int, b: int, x: Fraction, y: Fraction) -> Fraction:
     """Single-order projection: sum of B'_1((r+y)/b) B'_n(a(r+y)/b + x)."""
-    _require_order(n, "n")
-    _require_nonzero(b, "b")
+    admit(SUM_FAMILIES["two_term_n"].signature, (n, a, b, x, y))
     return Fraction(*_two_n(n, a, b, x, y))
 
 
 def s_mn_plain(m: int, n: int, a: int, b: int, c: int) -> Fraction:
     """Unshifted three-modulus sum: sum of B'_m(ar/c) B'_n(br/c)."""
-    _require_order(m, "m")
-    _require_order(n, "n")
-    _require_nonzero(c, "c")
+    admit(SUM_FAMILIES["plain_mn"].signature, (m, n, a, b, c))
     return Fraction(*_plain(m, n, a, b, c))
 
 
@@ -408,15 +376,9 @@ def count_ladder(a: int, b: int, c: int, x: Fraction, y: Fraction, z: Fraction) 
     Chinese remainder theorem into one residue class, counted in O(log |c|).
     For positive moduli and zero shifts this is gcd(a, b, c).  The moduli
     must be nonzero ints (not bools) and the shifts ints or Fractions, else
-    ``ValueError``; they are admitted before the memo sees them.
+    ``ValueError``; :data:`LADDER` admits them before the memo sees them.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if type(v) is not int:
-            raise ValueError(f"modulus {name} must be an int, got {v!r}")
-        _require_nonzero(v, name)
-    for v in (x, y, z):
-        if type(v) not in _EXACT:
-            raise ValueError(f"shifts must be ints or Fractions, got {v!r}")
+    admit(LADDER, (a, b, c, x, y, z))
     return _count_ladder(a, b, c, x, y, z)
 
 
@@ -446,31 +408,50 @@ count_ladder.cache_info, count_ladder.cache_clear = \
     _count_ladder.cache_info, _count_ladder.cache_clear
 
 
-class FamilySpec(NamedTuple):
-    """Declared parameters of one sum family: orders, moduli, shifts, in that order."""
+@dataclass(frozen=True)
+class FamilySpec:
+    """Declared parameters of one sum family: orders, moduli, shifts, in that order.
 
+    Its :attr:`signature` gates each order at ``minimum`` or above, and the
+    summed modulus (the last one) nonzero.
+    """
+
+    name: str
     fn: Callable[..., Fraction]
     orders: tuple[str, ...]
     moduli: tuple[str, ...]
     shifts: tuple[str, ...]
+    minimum: int = 0
     flags = ()
 
-    @property
+    @cached_property
     def params(self) -> Params:
         return declare(self.orders + self.moduli, self.shifts)
 
+    @cached_property
+    def signature(self) -> Signature:
+        low, summed = self.minimum, self.moduli[-1]
+        gates = {name: (Gate("least", low, f"order {name} must be >= {low}"),)
+                 for name in self.orders}
+        gates[summed] = _NONZERO[summed]
+        return Signature(self.name, self.params, gates)
 
-SUM_FAMILIES: dict[str, FamilySpec] = {
-    "classical": FamilySpec(classical_s, (), ("a", "b"), ()),
-    "rademacher": FamilySpec(rademacher_s, (), ("a", "b"), ("x", "y")),
-    "berndt3": FamilySpec(berndt_s, (), ("a", "b", "c"), ("x", "y", "z")),
-    "apostol": FamilySpec(apostol_s, ("n",), ("a", "b"), ()),
-    "carlitz": FamilySpec(carlitz_s, ("n",), ("a", "b"), ("x", "y")),
-    "hwz": FamilySpec(hwz_s, ("m", "n"), ("a", "b", "c"), ("x", "y", "z")),
-    "two_term_mn": FamilySpec(s_mn_two, ("m", "n"), ("a", "b"), ("x", "y")),
-    "two_term_n": FamilySpec(s_n_two, ("n",), ("a", "b"), ("x", "y")),
-    "plain_mn": FamilySpec(s_mn_plain, ("m", "n"), ("a", "b", "c"), ()),
-}
+
+_AB, _ABC, _XY, _XYZ, _MN = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z"), ("m", "n")
+_NONZERO = {name: (Gate("nonzero", 0, f"modulus {name} must be nonzero"),) for name in _ABC}
+SUM_FAMILIES: dict[str, FamilySpec] = {spec.name: spec for spec in [
+    FamilySpec("classical", classical_s, (), _AB, ()),
+    FamilySpec("rademacher", rademacher_s, (), _AB, _XY),
+    FamilySpec("berndt3", berndt_s, (), _ABC, _XYZ),
+    FamilySpec("apostol", apostol_s, ("n",), _AB, (), minimum=1),
+    FamilySpec("carlitz", carlitz_s, ("n",), _AB, _XY),
+    FamilySpec("hwz", hwz_s, _MN, _ABC, _XYZ),
+    FamilySpec("two_term_mn", s_mn_two, _MN, _AB, _XY),
+    FamilySpec("two_term_n", s_n_two, ("n",), _AB, _XY),
+    FamilySpec("plain_mn", s_mn_plain, _MN, _ABC, ()),
+]}
+# count_ladder is no family, but it admits its arguments as one does: each modulus nonzero.
+LADDER = Signature("count_ladder", declare(_ABC, _XYZ), _NONZERO)
 
 
 @dataclass(frozen=True)
@@ -478,8 +459,9 @@ class SumRequest:
     """A sum family name plus its full parameter tuple.
 
     ``orders``, ``moduli`` and ``shifts`` must match the family's arity
-    (empty tuples where the family takes none), and every value must pass
-    :func:`dedsums.params.coerce`.  The canonical JSON encoding uses the
+    (empty tuples where the family takes none); a shift may be a rational
+    literal.  :meth:`validate` admits the values, gates included, as
+    :meth:`evaluate` does.  The canonical JSON encoding uses the
     family tag string, plain integers, and rational literal strings.
     """
 
@@ -491,27 +473,29 @@ class SumRequest:
     def _spec(self) -> FamilySpec:
         return lookup(SUM_FAMILIES, self.family, "sum family")
 
-    def _values(self) -> dict:
+    def _args(self) -> tuple:
+        # The values in declared order, literals parsed, for the family to admit.
         spec = self._spec()
         shape = (len(spec.orders), len(spec.moduli), len(spec.shifts))
         if (len(self.orders), len(self.moduli), len(self.shifts)) != shape:
             raise ValueError(f"{self.family} takes {shape[0]} order(s), {shape[1]} moduli "
                              f"and {shape[2]} shift(s)")
-        values = (*self.orders, *self.moduli, *self.shifts)
-        return coerce(self.family, spec.params, dict(zip(spec.params, values)))
+        values = dict(zip(spec.params, (*self.orders, *self.moduli, *self.shifts)))
+        return tuple(coerce(self.family, spec.params, values).values())
 
     def validate(self) -> None:
-        """Check the family, the arity and the value types; the family checks the rest."""
-        self._values()
+        """Check the family, the arity and every value, by the family's signature."""
+        admit(self._spec().signature, self._args())
 
     def evaluate(self) -> Fraction:
-        return self._spec().fn(*self._values().values())
+        return self._spec().fn(*self._args())
 
     def to_json_dict(self) -> dict:
-        kinds = self._spec().params
+        spec = self._spec()
+        values = admit(spec.signature, self._args())
         return {"family": self.family,
-                **{name: format_rational(v) if kinds[name] is Fraction else v
-                   for name, v in self._values().items()}}
+                **{name: format_rational(v) if kind is Fraction else v
+                   for (name, kind), v in zip(spec.params.items(), values)}}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SumRequest":
@@ -520,10 +504,9 @@ class SumRequest:
         values = dict(data)
         family = values.pop("family", None)
         spec = lookup(SUM_FAMILIES, family, "sum family")
-        v = coerce(family, spec.params, values)
-        return cls(family=family, orders=tuple(v[n] for n in spec.orders),
-                   moduli=tuple(v[n] for n in spec.moduli),
-                   shifts=tuple(v[n] for n in spec.shifts))
+        v = admit(spec.signature, tuple(coerce(family, spec.params, values).values()))
+        i, j = len(spec.orders), len(spec.orders) + len(spec.moduli)
+        return cls(family, v[:i], v[i:j], v[j:])
 
 
 # Views of the one memo, for callers that still ask a family for cache_info.

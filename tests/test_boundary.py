@@ -145,10 +145,18 @@ def family_calls(draw):
 @given(family_calls())
 @example((SUM_FAMILIES["classical"].fn, (True, 3)))
 @example((SUM_FAMILIES["classical"].fn, (2.5, 3)))
+# A modulus's type is checked before its value, and an earlier top's before
+# both: each of these used to raise "modulus ... must be nonzero".
+@example((SUM_FAMILIES["classical"].fn, (1, 0.0)))
+@example((SUM_FAMILIES["classical"].fn, (1, False)))
+@example((SUM_FAMILIES["classical"].fn, ("x", 0)))
+@example((SUM_FAMILIES["carlitz"].fn, (0, 1, 0.0, 0, 0)))
+@example((SUM_FAMILIES["hwz"].fn, (1, 1, 1, 1, 0.0, 0, 0, 0)))
 @settings(max_examples=300, deadline=None)
 def test_families_reject_every_inexact_argument(call):
+    # The one inexact argument is named by the type message of its kind.
     fn, args = call
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\w+: parameter '\w' must be an int(, got| or a)"):
         fn(*args)
 
 
@@ -220,7 +228,7 @@ _EXACT_VALID = {
 def exact_lemma_calls(draw):
     tag = draw(st.sampled_from(sorted(_EXACT_VALID)))
     fn, valid = _EXACT_VALID[tag]
-    params = analytic._EXACT_PARAMS[tag]
+    params = analytic.EXACT_LEMMAS[tag].params
     values = dict(valid)
     name = draw(st.sampled_from(sorted(params)))
     values[name] = draw(BAD_INT if params[name] is int else BAD_VALUE)
@@ -388,7 +396,7 @@ def test_checkers_take_no_float_or_string(fn, args):
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 def test_checkers_take_int_shifts_as_run_case_does(identity):
     # An int shift is the Fraction it equals: a direct call reports the case
-    # as run_case, which coerces it, does.
+    # as run_case does.
     spec = IDENTITIES[identity]
     values = random_case(identity, random.Random(3))
     values.update({name: int(values[name].numerator // values[name].denominator)

@@ -80,7 +80,7 @@ class TestRademacherThreeTerm:
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
     def test_dieter_flag_must_be_a_bool(self, flag):
-        # A direct call admits the flag as run_case coerces it, with its message.
+        # A direct call and run_case admit the flag alike, with one message.
         with pytest.raises(ValueError) as direct:
             check_rademacher_three(2, 3, 5, dieter=flag)
         with pytest.raises(ValueError) as dispatched:

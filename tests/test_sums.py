@@ -403,9 +403,12 @@ class TestSumRequest:
             SumRequest("classical", orders=(1,), moduli=(2, 3)).validate()
         with pytest.raises(ValueError):
             SumRequest("hwz", orders=(1, 1), moduli=(1, 2), shifts=(ZERO,) * 3).validate()
-        # A zero modulus is the family's own precondition, checked on evaluation.
-        with pytest.raises(ValueError, match="modulus b must be nonzero"):
-            SumRequest("classical", moduli=(2, 0)).evaluate()
+        # A zero modulus fails the family's declared gate, which validate()
+        # applies as evaluate() does, with the same message.
+        for step in (SumRequest("classical", moduli=(2, 0)).validate,
+                     SumRequest("classical", moduli=(2, 0)).evaluate):
+            with pytest.raises(ValueError, match="^modulus b must be nonzero$"):
+                step()
 
     def test_json_of_a_malformed_request_is_refused(self):
         for req in (SumRequest("classical", moduli=(2, 3, 4)),
