@@ -147,9 +147,8 @@ def _report(target: str, params: tuple, K: int, approx: Union[float, complex],
 
 def _admit(spec: "AnalyticSpec", *args) -> tuple:
     # The arguments of one check or lemma, literals parsed, admitted by its entry.
-    sig = spec.signature
-    values = coerce(sig.owner, sig.params, dict(zip(sig.params, args)))
-    return admit(sig, tuple(values.values()))
+    values = coerce(spec.signature.owner, spec.params, dict(zip(spec.params, args)))
+    return admit(spec.signature, tuple(values.values()))
 
 
 @contextmanager

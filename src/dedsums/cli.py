@@ -280,9 +280,11 @@ def _args_for(spec, args) -> dict:
 
 
 def _cmd_sum(args) -> int:
+    # The parser has read each value as its kind; evaluate() admits them once.
+    spec = SUM_FAMILIES[args.family]
+    request = SumRequest(args.family, *(tuple(getattr(args, name) for name in names)
+                                        for names in (spec.orders, spec.moduli, spec.shifts)))
     try:
-        request = SumRequest.from_json_dict(
-            {"family": args.family, **_args_for(SUM_FAMILIES[args.family], args)})
         value = request.evaluate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

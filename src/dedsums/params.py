@@ -73,11 +73,15 @@ class Signature:
 
     def __init__(self, owner: str, params: Params, gates: Mapping[str, Iterable[Gate]] = {},
                  flags: tuple[str, ...] = (), hypotheses: bool = False):
+        if not set(gates) <= set(params):
+            raise ValueError(f"{owner}: gates of undeclared parameter(s): "
+                             f"{', '.join(sorted(set(gates) - set(params)))}")
         self.owner, self.params, self.flags, self.hypotheses = owner, params, flags, hypotheses
         self.gates = {name: tuple(gates.get(name, ())) for name in params}
+        # What admit reads: the kinds, and each gate with its parameter's index, rule resolved.
         self.kinds = tuple(params.values())
-        self.checks = tuple((i, RULES[gate.rule], gate) for i, name in enumerate(params)
-                            for gate in self.gates[name])
+        self.checks = tuple((i, RULES[gate.rule], gate.bound, gate.clause)
+                            for i, name in enumerate(params) for gate in self.gates[name])
         self.refusal = partial(HypothesisError, owner) if hypotheses else ValueError
 
 
@@ -96,23 +100,23 @@ def admit(sig: Signature, args: tuple) -> tuple:
     a ``bool``; a rational an ``int``, made its Fraction, or a ``Fraction``),
     then passes its gates; then each flag is a ``bool``, kept only when set.
     """
-    if tuple(map(type, args)) == sig.kinds:
-        # No flag and no value to convert or refuse: only a gate can fail.
-        for i, holds, gate in sig.checks:
-            if not holds(args[i], gate.bound, args):
-                raise sig.refusal(gate.clause)
+    n = bad = len(sig.kinds)  # bad: the index of the first value of a wrong type
+    if tuple(map(type, args)) != sig.kinds:
+        args = (*(Fraction(v) if kind is Fraction and type(v) is int else v
+                  for kind, v in zip(sig.kinds, args)), *args[n:])
+        bad = next((i for i, kind in enumerate(sig.kinds) if type(args[i]) is not kind), n)
+    # The gates of every parameter before that value, then its type message.
+    for i, holds, bound, clause in sig.checks:
+        if i >= bad:
+            break
+        if not holds(args[i], bound, args):
+            raise sig.refusal(clause)
+    if bad < n:
+        expected = "an int" if sig.kinds[bad] is int else "an int or a Fraction"
+        raise ValueError(f"{sig.owner}: parameter {list(sig.params)[bad]!r} must be "
+                         f"{expected}, got {args[bad]!r}")
+    if len(args) == n:
         return args
-    for i, (name, kind) in enumerate(sig.params.items()):
-        v = args[i]
-        if type(v) is not kind:
-            if kind is int or type(v) is not int:
-                expected = "an int" if kind is int else "an int or a Fraction"
-                raise ValueError(f"{sig.owner}: parameter {name!r} must be {expected}, got {v!r}")
-            args = (*args[:i], Fraction(v), *args[i + 1:])
-        for gate in sig.gates[name]:
-            if not RULES[gate.rule](v, gate.bound, args):
-                raise sig.refusal(gate.clause)
-    n = len(sig.kinds)
     for name, flag in zip(sig.flags, args[n:]):
         if type(flag) is not bool:
             raise ValueError(f"{sig.owner}: flag {name!r} must be a bool, got {flag!r}")

@@ -576,10 +576,11 @@ class IdentitySpec:
 
     The parameters are the orders (each with its sampling choices: a
     sequence, or a function of the values drawn so far), the moduli and the
-    shifts.  The :attr:`signature` gates each order at ``minimum`` or above,
-    unless ``gates`` declares its own (``apostol``'s odd order, ``cor43``'s
-    row range); each modulus nonzero when ``signed``, else at least 1; and,
-    when ``coprime``, the moduli pairwise coprime after the last one.
+    shifts.  The :attr:`signature` gates each order at 1 or above, unless
+    ``gates`` declares its own (``carlitz``'s and ``cor42``'s ``n >= 0``,
+    ``apostol``'s odd order, ``cor43``'s row range); each modulus nonzero
+    when ``signed``, else at least 1; and, when ``coprime``, the moduli
+    pairwise coprime after the last one.
     """
 
     name: str
@@ -591,7 +592,6 @@ class IdentitySpec:
     flags: tuple[str, ...] = ()
     signed: bool = False
     coprime: bool = False
-    minimum: int = 1
     gates: Mapping[str, tuple[Gate, ...]] = field(default_factory=dict)
 
     @cached_property
@@ -600,11 +600,10 @@ class IdentitySpec:
 
     @cached_property
     def signature(self) -> Signature:
-        low = self.minimum
-        gates = {name: (Gate("least", low, f"{name} >= {low}"),) for name in self.orders}
-        for name in self.moduli:
-            gates[name] = (Gate("nonzero", 0, f"{name} != 0") if self.signed
-                           else Gate("least", 1, f"{name} >= 1"),)
+        signed = self.moduli if self.signed else ()
+        gates = {name: (Gate("nonzero", 0, f"{name} != 0") if name in signed
+                        else Gate("least", 1, f"{name} >= 1"),)
+                 for name in (*self.orders, *self.moduli)}
         if self.coprime:
             first, mod = len(self.orders), self.moduli
             gates[mod[-1]] += tuple(Gate("coprime", (first + i, first + k),
@@ -621,7 +620,7 @@ class IdentitySpec:
 _AB, _ABC, _XY, _XYZ = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z")
 _MN4 = {"m": range(1, 5), "n": range(1, 5)}
 _MN3 = {"m": range(1, 4), "n": range(1, 4)}
-_N7 = {"n": range(7)}
+_N7, _N0 = {"n": range(7)}, {"n": (Gate("least", 0, "n >= 0"),)}
 _ROW = "0 <= r <= p - 1"
 
 IDENTITIES: dict[str, IdentitySpec] = {
@@ -634,13 +633,13 @@ IDENTITIES: dict[str, IdentitySpec] = {
         IdentitySpec("berndt", check_berndt, {}, _ABC, _XYZ),
         IdentitySpec("apostol", check_apostol, {"n": (1, 3, 5, 7)}, _AB, coprime=True,
                      gates={"n": (Gate("least", 1, "n >= 1"), Gate("odd", 1, "n odd"))}),
-        IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True, minimum=0),
+        IdentitySpec("carlitz", check_carlitz, _N7, _AB, _XY, coprime=True, gates=_N0),
         IdentitySpec("thm31", check_thm31, _MN4, _AB, _XYZ, signed=True),
         IdentitySpec("cor32", check_cor32, _MN4, _AB, _XY, signed=True),
         IdentitySpec("thm33", check_thm33, _MN4, _AB, _XYZ, signed=True),
         IdentitySpec("cor34", check_cor34, _MN4, _AB, _XY, signed=True),
         IdentitySpec("thm41", check_thm41, _MN3, _ABC, _XYZ, signed=True),
-        IdentitySpec("cor42", check_cor42, _N7, _AB, _XY, minimum=0),
+        IdentitySpec("cor42", check_cor42, _N7, _AB, _XY, gates=_N0),
         IdentitySpec("cor43", check_cor43,
                      {"p": (1, 3, 5), "r": lambda drawn: range(drawn["p"])}, _ABC,
                      gates={"p": (Gate("least", 1, "p >= 1"), Gate("odd", 1, "p odd")),

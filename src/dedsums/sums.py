@@ -433,8 +433,7 @@ class FamilySpec:
         low, summed = self.minimum, self.moduli[-1]
         gates = {name: (Gate("least", low, f"order {name} must be >= {low}"),)
                  for name in self.orders}
-        gates[summed] = _NONZERO[summed]
-        return Signature(self.name, self.params, gates)
+        return Signature(self.name, self.params, {**gates, summed: _NONZERO[summed]})
 
 
 _AB, _ABC, _XY, _XYZ, _MN = ("a", "b"), ("a", "b", "c"), ("x", "y"), ("x", "y", "z"), ("m", "n")
@@ -460,9 +459,9 @@ class SumRequest:
 
     ``orders``, ``moduli`` and ``shifts`` must match the family's arity
     (empty tuples where the family takes none); a shift may be a rational
-    literal.  :meth:`validate` admits the values, gates included, as
-    :meth:`evaluate` does.  The canonical JSON encoding uses the
-    family tag string, plain integers, and rational literal strings.
+    literal.  :meth:`from_json_dict`, :meth:`validate` and :meth:`evaluate`
+    admit the values, gates included; :meth:`to_json_dict` only formats them,
+    as the family tag string, plain integers and rational literal strings.
     """
 
     family: str
@@ -491,11 +490,10 @@ class SumRequest:
         return self._spec().fn(*self._args())
 
     def to_json_dict(self) -> dict:
-        spec = self._spec()
-        values = admit(spec.signature, self._args())
+        kinds = self._spec().params
         return {"family": self.family,
                 **{name: format_rational(v) if kind is Fraction else v
-                   for (name, kind), v in zip(spec.params.items(), values)}}
+                   for (name, kind), v in zip(kinds.items(), self._args())}}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SumRequest":

@@ -24,8 +24,9 @@ from fractions import Fraction
 import pytest
 
 import dedsums
+from dedsums import cli, sums
 from dedsums.analytic import ANALYTIC_TARGETS, EXACT_LEMMAS
-from dedsums.params import RULES, HypothesisError, admit
+from dedsums.params import RULES, Gate, HypothesisError, Signature, admit, declare
 from dedsums.reciprocity import IDENTITIES, random_case, run_case
 from dedsums.sums import LADDER, SUM_FAMILIES, SumRequest, count_ladder
 
@@ -85,7 +86,8 @@ def test_every_entry_is_covered():
 def _violations(sig, values: dict):
     """(name, gate, the values with that gate failed one step past its bound)."""
     names = list(sig.params)
-    paired = {names[j] for *_, gate in sig.checks if gate.rule == "coprime" for j in gate.bound}
+    paired = {names[j] for gates in sig.gates.values() for gate in gates
+              if gate.rule == "coprime" for j in gate.bound}
     for name, gates in sig.gates.items():
         for gate in gates:
             bad = dict(values)
@@ -130,8 +132,8 @@ def test_each_gate_raises_its_clause_one_step_past_its_bound(entry):
 def test_each_gate_holds_at_its_bound(entry):
     _, sig, _, _, values = entry
     args = tuple(values.values())
-    for i, holds, gate in sig.checks:
-        assert holds is RULES[gate.rule]
+    for i, gate in ((i, gate) for i, name in enumerate(sig.params) for gate in sig.gates[name]):
+        holds = RULES[gate.rule]
         if gate.rule == "least":
             at = (*args[:i], gate.bound, *args[i + 1:])
             assert holds(gate.bound, gate.bound, at)
@@ -175,6 +177,18 @@ def test_type_comes_before_the_gate_and_parameters_go_in_order():
     assert type(exc) is HypothesisError and exc.clause == "p odd"
     exc = _message(lambda: dedsums.check_dedekind(2, 4.0))
     assert str(exc) == "dedekind: parameter 'b' must be an int, got 4.0"
+    # The keyword paths keep the same order: coerce no longer type-checks
+    # every value before the entry's gates run.
+    exc = _message(lambda: run_case("dedekind", {"a": 0, "b": 2.0}))
+    assert type(exc) is HypothesisError and exc.clause == "a >= 1"
+    assert str(_message(lambda: SumRequest.from_json_dict(
+        {"family": "apostol", "n": 0, "a": 1, "b": 2.0}))) == "order n must be >= 1"
+    assert str(_message(lambda: dedsums.lemma24_check(0, 3, 1.5, 10))) == "power j must be >= 1"
+
+
+def test_a_gate_of_an_undeclared_parameter_is_refused():
+    with pytest.raises(ValueError, match="^t: gates of undeclared parameter\\(s\\): q$"):
+        Signature("t", declare(["a"]), {"q": (Gate("nonzero", 0, "q != 0"),)})
 
 
 def test_keyword_paths_name_a_missing_or_unknown_name():
@@ -202,7 +216,17 @@ def test_sum_request_validate_applies_the_gates():
                     SumRequest("hwz", orders=(1, 1), moduli=(1, 2, 0), shifts=("1/2", 0, 0))):
         validated = _message(request.validate)
         assert str(validated) == str(_message(request.evaluate))
-        assert str(validated) == str(_message(request.to_json_dict))
+
+
+def test_the_sum_command_admits_its_request_once(monkeypatch, capsys):
+    owners = []
+    monkeypatch.setattr(sums, "admit", lambda sig, args: owners.append(sig.owner) or
+                        admit(sig, args))
+    argv = ["sum", "hwz", "-m", "1", "-n", "2", "-a", "1", "-b", "2", "-c", "3",
+            "-x", "1/2", "-y", "0", "-z", "0", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert owners == ["hwz"]
+    assert capsys.readouterr().out.startswith('{"request": {"family": "hwz", "m": 1,')
 
 
 def test_an_int_rational_is_admitted_as_its_fraction():
