@@ -11,16 +11,16 @@ Some sum families are defined with one kernel, some with the other, so the
 distinction is load-bearing: collapsing the two silently changes values on
 integer lattice arguments.
 
-Numbers and coefficient rows are grown on demand by the defining recurrence
-``sum_{j=0}^{n} C(n+1, j) B_j = 0`` with ``B_0 = 1`` (convention
-``B_j = B_j(0)``, so ``B_1 = -1/2``), memoized in a process-wide cache that
-is synchronized for concurrent use.  The same cache keeps each row in
-integers, scaled by the lcm ``L_n`` of the denominators of ``B_0..B_n``:
-``L_n d^n B_n(t/d)`` is an integer.  One bounded memo holds these integers
-for ``0 <= t < d``; the lattice sums add them and build one Fraction per
-sum, the closed-form terms of the identity checks read them as integer
-pairs ``(L_n d^n K, L_n d^n)`` from :func:`_kernel_pair`, and the public
-kernels build their one Fraction from that pair.
+The cache keeps one table, in integers, grown on demand by the defining
+recurrence ``sum_{j=0}^{n} C(n+1, j) B_j = 0`` with ``B_0 = 1`` (convention
+``B_j = B_j(0)``, so ``B_1 = -1/2``) and synchronized for concurrent use.
+Row n is B_n(x) scaled by the lcm ``L_n`` of the denominators of
+``B_0..B_n``, so ``L_n d^n B_n(t/d)`` is an integer.  One bounded memo holds
+these integers for ``0 <= t < d``; the lattice sums add them and build one
+Fraction per sum, the closed-form terms of the identity checks read them as
+integer pairs ``(L_n d^n K, L_n d^n)`` from :func:`_kernel_pair` and B_j as
+``(L_j B_j, L_j)`` from :func:`_number_pair`, and the public entries, each
+admitted by its declared signature, build their Fractions from the table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial
+from .params import Gate, Signature, admit, declare
 
 __all__ = [
     "BernoulliCache",
@@ -43,63 +43,50 @@ __all__ = [
     "carlitz_kernel",
 ]
 
-_ZERO = Fraction(0)
-
 
 class BernoulliCache:
-    """Grow-on-demand table of Bernoulli numbers and polynomial rows.
+    """Grow-on-demand table of Bernoulli polynomial rows, in integers.
 
-    ``_numbers[j]`` is B_j; ``_rows[n]`` holds the monomial coefficients of
-    B_n(x) ordered from degree n down to degree 0 (the coefficient of
-    x^(n-k) is C(n, k) * B_k); ``_scaled[n]`` is that row in integers,
-    ``(L, L * _rows[n])`` with L the lcm of the denominators of B_0..B_n.
-    Requesting index ``j`` fills all three tables up to ``j`` in one locked
-    step; reads after fill are pure.
+    ``_scaled[n]`` is ``(L, (L C(n, k) B_k for k = 0..n))`` with L the lcm
+    of the denominators of B_0..B_n: the monomial coefficients of B_n(x),
+    degree n first, times L.  B_j is entry j of row j over its L.
+    Requesting order ``n`` fills the table up to ``n`` in one locked step;
+    reads after fill are pure.
     """
 
     def __init__(self) -> None:
-        self._numbers: list[Fraction] = [Fraction(1)]
-        self._rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
         self._scaled: list[tuple[int, tuple[int, ...]]] = [(1, (1,))]
         self._lock = threading.Lock()
 
     def _grow(self, n: int) -> None:
+        # Row k from row k-1 = (L, (L C(k-1, j) B_j)), L = L_{k-1}: L C(k, j)
+        # B_j is its entry times k/(k-j), and L C(k+1, j) B_j that times
+        # (k+1)/(k+1-j), both exact.  The recurrence gives B_k =
+        # -sum_{j<k} C(k+1, j) B_j / (k+1), reduced once; L_k = L * scale.
         with self._lock:
-            while len(self._numbers) <= n:
-                k = len(self._numbers)
-                # B_k = -1/(k+1) * sum_{j<k} C(k+1, j) B_j
-                acc = _ZERO
-                for j, bj in enumerate(self._numbers):
-                    acc += binomial(k + 1, j) * bj
-                bk = -acc / (k + 1)
-                self._numbers.append(bk)
-                row = tuple(binomial(k, i) * self._numbers[i] for i in range(k + 1))
-                self._rows.append(row)
-                lcm = math.lcm(self._scaled[-1][0], bk.denominator)
-                self._scaled.append((lcm, tuple(c.numerator * (lcm // c.denominator)
-                                                for c in row)))
+            while len(self._scaled) <= n:
+                k = len(self._scaled)
+                lcm, prev = self._scaled[-1]
+                row = [c * k // (k - j) for j, c in enumerate(prev)]
+                acc = sum([c * (k + 1) // (k + 1 - j) for j, c in enumerate(row)])
+                g = math.gcd(acc, (k + 1) * lcm)
+                top, bottom = -acc // g, (k + 1) * lcm // g
+                scale = bottom // math.gcd(lcm, bottom)
+                self._scaled.append((lcm * scale, (*(c * scale for c in row),
+                                                   top * (lcm * scale // bottom))))
 
     def number(self, j: int) -> Fraction:
-        if j < 0:
-            raise ValueError("Bernoulli number index must be >= 0")
-        if j >= len(self._numbers):
-            self._grow(j)
-        return self._numbers[j]
+        lcm, row = self.scaled_row(j)
+        return Fraction(row[j], lcm)
 
     def poly_row(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
-            raise ValueError("Bernoulli polynomial degree must be >= 0")
-        if n >= len(self._rows):
-            self._grow(n)
-        return self._rows[n]
+        lcm, row = self.scaled_row(n)
+        return tuple(Fraction(c, lcm) for c in row)
 
     def scaled_row(self, n: int) -> tuple[int, tuple[int, ...]]:
-        """``(L, (L C(n, k) B_k for k = 0..n))``, L the lcm of the denominators of B_0..B_n.
-
-        The integers are ``L`` times :meth:`poly_row`, in its order.
-        """
+        """Row n, ``(L, (L C(n, k) B_k for k = 0..n))``: L times :meth:`poly_row`."""
         if n < 0:
-            raise ValueError("Bernoulli polynomial degree must be >= 0")
+            raise ValueError("Bernoulli order must be >= 0")
         if n >= len(self._scaled):
             self._grow(n)
         return self._scaled[n]
@@ -107,47 +94,50 @@ class BernoulliCache:
 
 _CACHE = BernoulliCache()
 
+# The public kernels' declared parameters and gates: each admits its call by
+# its signature (an order an int, a point an int or a Fraction).
+_ORDER = {"n": (Gate("least", 0, "order n must be >= 0"),)}
+_SIGNATURES = {
+    "bernoulli_number": Signature("bernoulli_number", declare(("j",)),
+                                  {"j": (Gate("least", 0, "index j must be >= 0"),)}),
+    "bernoulli_poly_coeffs": Signature("bernoulli_poly_coeffs", declare(("n",)), _ORDER),
+    "bernoulli_poly_derivative_coeffs": Signature(
+        "bernoulli_poly_derivative_coeffs", declare(("n",)),
+        {"n": (Gate("least", 1, "order n must be >= 1"),)}),
+    **{name: Signature(name, declare(("n",), ("x",)), _ORDER)
+       for name in ("bernoulli_poly", "bernoulli_function", "carlitz_kernel")},
+    "sawtooth": Signature("sawtooth", declare(rationals=("x",))),
+}
+
 
 def bernoulli_number(j: int) -> Fraction:
     """The j-th Bernoulli number B_j (convention B_j = B_j(0), B_1 = -1/2)."""
-    if type(j) is not int:
-        raise ValueError(f"Bernoulli number index must be an int, got {j!r}")
+    admit(_SIGNATURES["bernoulli_number"], (j,))
     return _CACHE.number(j)
 
 
 def bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of B_n(x), degree n first, degree 0 last."""
-    if type(n) is not int:
-        raise ValueError(f"degree must be an int, got {n!r}")
+    admit(_SIGNATURES["bernoulli_poly_coeffs"], (n,))
     return _CACHE.poly_row(n)
-
-
-def _admit(x: Fraction, n: int) -> None:
-    # The public kernels take an int degree (not a bool) and an exact point,
-    # an int (not a bool) or a Fraction; a float would run on its binary value.
-    if type(n) is not int:
-        raise ValueError(f"degree must be an int, got {n!r}")
-    if type(x) is not int and type(x) is not Fraction:
-        raise ValueError(f"kernel argument must be an int or a Fraction, got {x!r}")
 
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Exact value of the Bernoulli polynomial B_n(x)."""
-    _admit(x, n)
+    n, x = admit(_SIGNATURES["bernoulli_poly"], (n, x))
     return Fraction(_scaled_poly(n, x.numerator, x.denominator), _scale(n, x.denominator))
 
 
 def bernoulli_poly_derivative_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of d/dx B_n(x); equals n times the row of B_{n-1}."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"derivative row requires an int degree >= 1, got {n!r}")
-    row = _CACHE.poly_row(n)
-    return tuple((n - i) * row[i] for i in range(n))
+    admit(_SIGNATURES["bernoulli_poly_derivative_coeffs"], (n,))
+    lcm, row = _scaled_row(n)
+    return tuple(Fraction((n - i) * c, lcm) for i, c in enumerate(row[:n]))
 
 
-# (L_n, (L_n C(n, k) B_k for k = 0..n)): one shared table per order, read by
-# both lattice routes and every kernel pair (bound once: it is called per sum,
-# per kernel pair and per memo miss).
+# (L_n, (L_n C(n, k) B_k for k = 0..n)): the one table, read by both lattice
+# routes, every kernel pair and every number pair (bound once: it is called
+# per sum, per pair and per memo miss).
 _scaled_row = _CACHE.scaled_row
 _SCALED = _CACHE._scaled  # the same table as a list, which _scale reads unchecked
 
@@ -192,9 +182,16 @@ def _kernel_pair(n: int, num: int, den: int, raw: bool = False) -> tuple[int, in
     return _poly_at_pair(n, t, den), scale
 
 
+def _number_pair(j: int) -> tuple[int, int]:
+    """B_j as the integer pair ``(L_j B_j, L_j)``, read from the table."""
+    lcm, row = _scaled_row(j)
+    return row[j], lcm
+
+
 def sawtooth(x: Fraction) -> Fraction:
     """The sawtooth ((x)): 0 at integers, {x} - 1/2 elsewhere."""
-    return bernoulli_function(1, x)
+    (x,) = admit(_SIGNATURES["sawtooth"], (x,))
+    return Fraction(*_kernel_pair(1, x.numerator, x.denominator))
 
 
 def bernoulli_function(n: int, x: Fraction) -> Fraction:
@@ -203,17 +200,13 @@ def bernoulli_function(n: int, x: Fraction) -> Fraction:
     Degree 0 is the constant 1, degree 1 is the sawtooth (0 at integers),
     and degree n >= 2 is B_n({x}).
     """
-    _admit(x, n)
-    if n < 0:
-        raise ValueError("Bernoulli function index must be >= 0")
+    n, x = admit(_SIGNATURES["bernoulli_function"], (n, x))
     return Fraction(*_kernel_pair(n, x.numerator, x.denominator))
 
 
 def carlitz_kernel(n: int, x: Fraction) -> Fraction:
     """B_n({x}) with no integer-point adjustment: B_1({k}) = -1/2 for k in Z."""
-    _admit(x, n)
-    if n < 0:
-        raise ValueError("kernel index must be >= 0")
+    n, x = admit(_SIGNATURES["carlitz_kernel"], (n, x))
     return Fraction(*_kernel_pair(n, x.numerator, x.denominator, True))
 
 

@@ -65,6 +65,8 @@ class SweepSpec:
     flags: tuple[str, ...] = ()
 
     def cases(self) -> list[dict]:
+        if self.random_count < 0:
+            raise ValueError(f"sweep random count must be >= 0, got {self.random_count}")
         names = list(IDENTITIES[self.identity].params)
         out: list[dict] = []
         if self.grids:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .bernoulli import _kernel_pair, bernoulli_number
+from .bernoulli import _kernel_pair, _number_pair
 from .exact import binomial, format_rational, gcd_pos, mod_inverse, sgn
 from .params import Gate, HypothesisError, Params, Signature, admit, coerce, declare, lookup
 # The checkers read the pair helpers and the core; of the public families
@@ -208,9 +208,10 @@ def _fold(terms) -> tuple[int, int]:
     A term is ``(top, bottom, *factors)``: the integers top/bottom (bottom
     nonzero, of either sign) times each factor: an integer pair ``(num,
     den)``, not necessarily reduced (a kernel value from :func:`_kernel_pair`,
-    a lattice sum from ``sums._lattice_sum`` or a family's pair helper), or
-    an int or a Fraction (a Bernoulli number, the ``hwz_s`` sums of thm41
-    and thm44), each read by numerator and denominator.  A side of
+    a Bernoulli number from ``bernoulli._number_pair``, a lattice sum from
+    ``sums._lattice_sum`` or a family's pair helper), or an int or a
+    Fraction (the ``hwz_s`` sums of thm41 and thm44), each read by
+    numerator and denominator.  A side of
     :func:`_binomial_side` is a term with no factor.  The terms add up over
     one running lcm of their denominators and build no Fraction;
     :func:`_report` makes each side one Fraction at the end.
@@ -328,8 +329,8 @@ def check_apostol(n: int, a: int, b: int) -> IdentityReport:
     return _report("apostol", _admit("apostol", n, a, b),
                    ((a * b**n, 1, _apostol(n, a, b)), (b * a**n, 1, _apostol(n, b, a))), (
         *((binomial(n + 1, j) * (-1) ** j * a**j * b ** (n + 1 - j), n + 1,
-           bernoulli_number(j), bernoulli_number(n + 1 - j)) for j in range(n + 2)),
-        (n, n + 1, bernoulli_number(n + 1)),
+           _number_pair(j), _number_pair(n + 1 - j)) for j in range(n + 2)),
+        (n, n + 1, _number_pair(n + 1)),
     ))
 
 
@@ -529,7 +530,7 @@ def check_cor43(p: int, r: int, a: int, b: int, c: int) -> IdentityReport:
     ), (
         (binomial(p, r) * a ** (p + 1) * gcd_pos(b, c) ** (p + 1)
          + binomial(p, r + 1) * b ** (p + 1) * gcd_pos(a, c) ** (p + 1)
-         + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1), 1, bernoulli_number(p + 1)),
+         + (-1) ** r * c ** (p + 1) * gcd_pos(a, b) ** (p + 1), 1, _number_pair(p + 1)),
         (-_kd(1, p) * a * b * c * n_hat, 2),
     ), counter=n_hat)
 

@@ -1,6 +1,9 @@
 """Bernoulli numbers, polynomials, and periodized kernels against oracles."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,7 +53,7 @@ class TestNumbers:
             assert bernoulli_number(2 * j + 1) == 0
 
     def test_matches_independent_oracle(self):
-        for n in range(17):
+        for n in range(101):
             assert bernoulli_number(n) == oracles.worpitzky_poly(n, Fraction(0))
 
 
@@ -84,6 +87,13 @@ class TestPolynomials:
             at1 = bernoulli_poly(n, Fraction(1))
             assert at0 == bernoulli_number(n)
             assert at1 - at0 == (1 if n == 1 else 0)
+
+    @pytest.mark.parametrize("n, x", [
+        (150, Fraction(1, 3)), (150, Fraction(-5, 2)), (200, Fraction(1, 3)),
+        (200, Fraction(22, 7)), (300, Fraction(-3, 4)),
+    ])
+    def test_high_orders_match_independent_oracle(self, n, x):
+        assert bernoulli_poly(n, x) == oracles.worpitzky_poly(n, x)
 
     def test_row_shape(self):
         row = bernoulli_poly_coeffs(2)
@@ -190,6 +200,31 @@ class TestCacheObject:
             cache.number(-2)
         with pytest.raises(ValueError):
             cache.poly_row(-1)
+        with pytest.raises(ValueError):
+            cache.scaled_row(-1)
+
+    def test_concurrent_growth_matches_one_thread(self):
+        # Four threads grow one fresh cache at once, to orders 40..120, each
+        # reading its rows from the top down; a short switch interval makes
+        # their growth interleave.
+        cache, orders = BernoulliCache(), (120, 40, 95, 65)
+        barrier = threading.Barrier(len(orders))
+
+        def grow(n):
+            barrier.wait(timeout=30)
+            return [cache.scaled_row(k) for k in range(n, -1, -1)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                seen = list(pool.map(grow, orders, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        alone = BernoulliCache()
+        for n, rows in zip(orders, seen):
+            assert rows == [alone.scaled_row(k) for k in range(n, -1, -1)]
+        assert cache._scaled == alone._scaled
 
 
 class TestIntegerPairKernels:
@@ -222,6 +257,20 @@ class TestIntegerPairKernels:
     ])
     def test_signs_integer_points_and_low_orders(self, n, num, den):
         self._check(n, num, den)
+
+    def test_first_pair_of_an_order_grows_the_table(self):
+        # L_n is read unchecked from a table that holds order n; the first
+        # pair of the next order takes it from the call that grows the table.
+        n, d = len(bern_mod._SCALED), 2**64 + 1
+        top, bottom = bern_mod._kernel_pair(n, 1, d)
+        assert len(bern_mod._SCALED) == n + 1
+        assert bottom == bern_mod._SCALED[n][0] * d ** n
+        assert Fraction(top, bottom) == bernoulli_poly(n, Fraction(1, d))
+
+    def test_kernel_memo_bound(self):
+        # The bound the README documents, which keeps a direct-route sum over
+        # a large modulus from growing the memo without limit.
+        assert bern_mod._poly_at_pair.cache_info().maxsize == 65536
 
     def test_degree_one_at_integers(self):
         # 0 on the periodized kernel, B_1(0) = -1/2 on the raw one, whatever the sign

@@ -168,6 +168,17 @@ class TestSweepCommand:
         res = run_cli("sweep", "dedekind")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "dedekind", "-a", "1", "-b", "2", "--random", "-5"],  # ran the grid, exit 0
+        ["sweep", "dedekind", "--random", "-5"],  # exit 2, naming no random count
+    ])
+    def test_negative_random_count_is_a_usage_error(self, argv, capsys):
+        from dedsums import cli
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep random count must be >= 0, got -5\n"
+
     def test_csv_format(self):
         res = run_cli("sweep", "dedekind", "-a", "2..3", "-b", "5,7",
                       "--format", "csv")
@@ -311,6 +322,12 @@ class TestSweepSpec:
             SweepSpec("dedekind", grids={"a": [1]}).cases()
         with pytest.raises(ValueError):
             SweepSpec("dedekind").cases()
+
+    def test_negative_random_count_rejected(self):
+        from dedsums.cli import SweepSpec
+        for grids in ({"a": [1], "b": [2]}, {}):
+            with pytest.raises(ValueError, match="^sweep random count must be >= 0, got -1$"):
+                SweepSpec("dedekind", grids=grids, random_count=-1).cases()
 
     def test_flags_propagate(self):
         from dedsums.cli import SweepSpec

@@ -55,7 +55,14 @@ SWAPS = {
 }
 
 # (module path relative to the repository, site) -> why the mutant is equivalent
-EQUIVALENT: dict[tuple[str, str], str] = {}
+_L0 = "order 0 takes the checked call, which returns the same L_0 = 1"
+_DEN = "den != 0 by contract, and den == 0 raises ZeroDivisionError either way"
+EQUIVALENT: dict[tuple[str, str], str] = {
+    ("src/dedsums/bernoulli.py", "148:29 Compare LtE->Lt"): _L0,
+    ("src/dedsums/bernoulli.py", "148:29 Constant 0->1"): _L0,
+    ("src/dedsums/bernoulli.py", "174:7 Compare Lt->LtE"): _DEN,
+    ("src/dedsums/bernoulli.py", "174:13 Constant 0->1"): _DEN,
+}
 
 
 def sites(tree: ast.AST) -> list[tuple[str, ast.AST, str]]:
